@@ -54,6 +54,10 @@ pub struct SensingStats {
     pub solver_iterations: u64,
     /// Solves that hit the iteration cap without converging.
     pub unconverged: u64,
+    /// Solves that ran away (see `Recovery::diverged` in
+    /// `crowdwifi_sparsesolve`): a non-finite iterate, or an objective
+    /// above the zero solution's `½‖y′‖²`.
+    pub diverged: u64,
     /// Columns eliminated by gap-safe screening across all solves.
     pub screened_cols: u64,
     /// Iteration-budget headroom left by early-converged solves.
@@ -71,6 +75,7 @@ impl SensingStats {
         self.solves += other.solves;
         self.solver_iterations += other.solver_iterations;
         self.unconverged += other.unconverged;
+        self.diverged += other.diverged;
         self.screened_cols += other.screened_cols;
         self.iterations_saved += other.iterations_saved;
         self.warm_seeded += other.warm_seeded;
@@ -275,6 +280,8 @@ pub struct WindowSensing {
     solver_iterations: AtomicU64,
     /// Solves that hit the iteration cap.
     unconverged: AtomicU64,
+    /// Solves that ran away.
+    diverged: AtomicU64,
     /// Columns eliminated by gap-safe screening.
     screened_cols: AtomicU64,
     /// Iteration-budget headroom left by early stops.
@@ -348,6 +355,7 @@ impl WindowSensing {
             solves: self.solves.load(Ordering::Relaxed),
             solver_iterations: self.solver_iterations.load(Ordering::Relaxed),
             unconverged: self.unconverged.load(Ordering::Relaxed),
+            diverged: self.diverged.load(Ordering::Relaxed),
             screened_cols: self.screened_cols.load(Ordering::Relaxed),
             iterations_saved: self.iterations_saved.load(Ordering::Relaxed),
             warm_seeded: self.warm_seeded.load(Ordering::Relaxed),
@@ -567,6 +575,7 @@ impl CsRecovery {
             solves: AtomicU64::new(0),
             solver_iterations: AtomicU64::new(0),
             unconverged: AtomicU64::new(0),
+            diverged: AtomicU64::new(0),
             screened_cols: AtomicU64::new(0),
             iterations_saved: AtomicU64::new(0),
             warm_seeded: AtomicU64::new(0),
@@ -641,14 +650,7 @@ impl CsRecovery {
                 None
             };
             let solve = self.solve_pruned(&a_raw, &y, &candidates, n, warm)?;
-            let stats = (
-                solve.iterations,
-                solve.converged,
-                solve.screened_cols,
-                solve.iterations_saved,
-                solve.warm_used,
-            );
-            (solve.theta, solve.raw, Some(stats))
+            (solve.theta, solve.raw, Some(solve.stats))
         };
         let entry = MemoEntry {
             theta: Arc::new(theta),
@@ -670,21 +672,24 @@ impl CsRecovery {
                 Ok(hit.get().theta.clone())
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                if let Some((iterations, converged, screened, saved, warm_used)) = solve_stats {
+                if let Some(s) = solve_stats {
                     sensing.solves.fetch_add(1, Ordering::Relaxed);
                     sensing
                         .solver_iterations
-                        .fetch_add(iterations as u64, Ordering::Relaxed);
-                    if !converged {
+                        .fetch_add(s.iterations as u64, Ordering::Relaxed);
+                    if !s.converged {
                         sensing.unconverged.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if s.diverged {
+                        sensing.diverged.fetch_add(1, Ordering::Relaxed);
                     }
                     sensing
                         .screened_cols
-                        .fetch_add(screened as u64, Ordering::Relaxed);
+                        .fetch_add(s.screened_cols as u64, Ordering::Relaxed);
                     sensing
                         .iterations_saved
-                        .fetch_add(saved as u64, Ordering::Relaxed);
-                    if warm_used {
+                        .fetch_add(s.iterations_saved as u64, Ordering::Relaxed);
+                    if s.warm_used {
                         sensing.warm_seeded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -934,11 +939,14 @@ impl CsRecovery {
         Ok(GroupSolve {
             theta,
             raw,
-            iterations: recovery.iterations,
-            converged: recovery.converged,
-            screened_cols: recovery.screened_cols,
-            iterations_saved: recovery.iterations_saved,
-            warm_used,
+            stats: SolveStats {
+                iterations: recovery.iterations,
+                converged: recovery.converged,
+                diverged: recovery.diverged,
+                screened_cols: recovery.screened_cols,
+                iterations_saved: recovery.iterations_saved,
+                warm_used,
+            },
         })
     }
 }
@@ -950,8 +958,14 @@ struct GroupSolve {
     theta: Vec<f64>,
     /// Raw (pre-debias) solver solution scattered to the full grid.
     raw: Vec<f64>,
+    stats: SolveStats,
+}
+
+/// One solve's diagnostics, as the solver reported them.
+struct SolveStats {
     iterations: usize,
     converged: bool,
+    diverged: bool,
     screened_cols: usize,
     iterations_saved: usize,
     warm_used: bool,
@@ -1277,6 +1291,7 @@ mod tests {
             solves: 3,
             solver_iterations: 4,
             unconverged: 5,
+            diverged: 9,
             screened_cols: 6,
             iterations_saved: 7,
             warm_seeded: 8,
@@ -1291,6 +1306,7 @@ mod tests {
                 solves: 6,
                 solver_iterations: 8,
                 unconverged: 10,
+                diverged: 18,
                 screened_cols: 12,
                 iterations_saved: 14,
                 warm_seeded: 16,

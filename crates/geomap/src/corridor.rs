@@ -1,108 +1,113 @@
 //! "APs ahead on my trajectory": corridor queries over the map.
 //!
 //! A user vehicle hands the map its upcoming route polyline; the map
-//! walks the geohash cells the corridor sweeps (prefix walk: the cell
-//! set is computed first, then grouped by shard so each touched shard
-//! is snapshotted exactly once) and filters the candidate entries by
-//! exact distance to the polyline. This is the paper's offloading
-//! use case (§6.3) and the feed for `handoff`'s BRR policy.
+//! walks the bucket cells the corridor can reach and filters their
+//! entries by exact distance to the polyline. This is the paper's
+//! offloading use case (§6.3) and the feed for `handoff`'s BRR policy.
+//!
+//! The cell cover is exact, not sampled. For each segment the walk
+//! visits the cells of the segment's box padded by the half-width and
+//! keeps a cell when its centre lies within the half-width plus half a
+//! cell diagonal of the segment; every interior cell holding an entry
+//! within the half-width passes that test. World-edge cells are always
+//! kept, because entries outside the world are stored in them. The
+//! kept codes are sorted, so each shard's cells are contiguous (Morton
+//! order) and each shard generation is read-locked and cloned once.
 
+use crate::geohash::deinterleave;
 use crate::map::{canonical_order, GeoMap, MapAp};
 use crowdwifi_geo::{Point, Rect};
-use std::collections::{BTreeMap, BTreeSet};
 
-/// Distance from `p` to the segment `a`–`b`.
-pub(crate) fn dist_to_segment(p: Point, a: Point, b: Point) -> f64 {
+/// Squared distance from `p` to the segment `a`–`b`.
+fn dist2_to_segment(p: Point, a: Point, b: Point) -> f64 {
     let (dx, dy) = (b.x - a.x, b.y - a.y);
     let len2 = dx * dx + dy * dy;
-    if len2 <= 0.0 {
-        return p.distance(a);
-    }
-    let t = (((p.x - a.x) * dx + (p.y - a.y) * dy) / len2).clamp(0.0, 1.0);
-    p.distance(Point::new(a.x + t * dx, a.y + t * dy))
+    let q = if len2 <= 0.0 {
+        a
+    } else {
+        let t = (((p.x - a.x) * dx + (p.y - a.y) * dy) / len2).clamp(0.0, 1.0);
+        Point::new(a.x + t * dx, a.y + t * dy)
+    };
+    (p.x - q.x) * (p.x - q.x) + (p.y - q.y) * (p.y - q.y)
 }
 
-/// Distance from `p` to a polyline (minimum over its segments).
+/// The segments of a polyline; a one-point path is one degenerate
+/// segment, so its distance is the distance to that point.
+fn segments(path: &[Point]) -> impl Iterator<Item = (Point, Point)> + '_ {
+    let point = match path {
+        [p] => Some((*p, *p)),
+        _ => None,
+    };
+    point
+        .into_iter()
+        .chain(path.windows(2).map(|w| (w[0], w[1])))
+}
+
+/// Distance from `p` to a polyline (minimum over its segments; `sqrt`
+/// is monotone, so one root of the least square is the same value).
 fn dist_to_path(p: Point, path: &[Point]) -> f64 {
-    match path {
-        [] => f64::INFINITY,
-        [only] => p.distance(*only),
-        _ => path
-            .windows(2)
-            .map(|w| dist_to_segment(p, w[0], w[1]))
-            .fold(f64::INFINITY, f64::min),
-    }
+    segments(path)
+        .map(|(a, b)| dist2_to_segment(p, a, b))
+        .fold(f64::INFINITY, f64::min)
+        .sqrt()
 }
 
 impl GeoMap {
     /// All entries within `half_width` meters of the route polyline
     /// `path` whose credit clears the spurious floor, deduplicated and
     /// in canonical order — the candidate list a vehicle's handoff
-    /// policy consumes.
-    ///
-    /// The cell walk samples the polyline at half-bucket steps, unions
-    /// the covering cells of each sample's corridor box, then probes
-    /// each touched shard's current generation once.
+    /// policy consumes. Equal to filtering every stored entry by
+    /// distance; see the [module docs](self) for the cell cover.
     pub fn aps_ahead(&self, path: &[Point], half_width: f64) -> Vec<MapAp> {
         if path.is_empty() || !half_width.is_finite() || half_width < 0.0 {
             return Vec::new();
         }
-        let cfg = self.config();
-        let world = *self.world();
-        let n = f64::from(1u32 << cfg.bucket_level.min(30));
-        let step = (world.area().width() / n).min(world.area().height() / n) / 2.0;
+        let level = self.config().bucket_level;
+        let area = self.world().area();
+        let n = 1u64 << level;
+        let (w, h) = (area.width() / n as f64, area.height() / n as f64);
+        // A billionth of the query's scale absorbs rounding in the
+        // centre and distance arithmetic.
+        let reach =
+            half_width + 0.5 * w.hypot(h) + 1e-9 * (area.width() + area.height() + half_width);
+        let reach2 = reach * reach;
 
-        // 1. Prefix walk: collect the bucket cells the corridor sweeps.
-        let mut cells: BTreeSet<u64> = BTreeSet::new();
-        let mut cover = |p: Point| {
+        // 1. Cover: the codes of every cell the corridor can reach.
+        // A typical corridor keeps a few dozen cells: one allocation
+        // instead of a run of regrowths.
+        let mut codes: Vec<u64> = Vec::with_capacity(64);
+        for (a, b) in segments(path) {
             let Ok(bbox) = Rect::new(
-                Point::new(p.x - half_width, p.y - half_width),
-                Point::new(p.x + half_width, p.y + half_width),
+                Point::new(a.x.min(b.x) - half_width, a.y.min(b.y) - half_width),
+                Point::new(a.x.max(b.x) + half_width, a.y.max(b.y) + half_width),
             ) else {
-                return;
-            };
-            for cell in world.cells_covering(bbox, cfg.bucket_level) {
-                cells.insert(cell.code);
-            }
-        };
-        cover(path[0]);
-        for w in path.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let len = a.distance(b);
-            if !len.is_finite() {
                 continue;
-            }
-            let samples = (len / step).ceil().max(1.0) as usize;
-            for i in 1..=samples {
-                cover(a.lerp(b, i as f64 / samples as f64));
-            }
-        }
-
-        // 2. Group by shard; snapshot each touched shard once.
-        let mut by_shard: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        for code in cells {
-            by_shard
-                .entry(self.shard_of_code(code))
-                .or_default()
-                .push(code);
-        }
-        let mut out: Vec<MapAp> = Vec::new();
-        for (s, codes) in by_shard {
-            let generation = self.shards[s]
-                .current
-                .read()
-                .expect("shard lock poisoned")
-                .clone();
-            for code in codes {
-                let Some(bucket) = generation.buckets.get(&code) else {
-                    continue;
-                };
-                for ap in bucket.iter() {
-                    if ap.credit > cfg.min_credit && dist_to_path(ap.position, path) <= half_width {
-                        out.push(*ap);
-                    }
+            };
+            self.world().for_each_cell_covering(bbox, level, |cell| {
+                let (ix, iy) = deinterleave(cell.code);
+                let edge = ix == 0 || iy == 0 || ix == n - 1 || iy == n - 1;
+                let centre = Point::new(
+                    area.min().x + (ix as f64 + 0.5) * w,
+                    area.min().y + (iy as f64 + 0.5) * h,
+                );
+                if edge || dist2_to_segment(centre, a, b) <= reach2 {
+                    codes.push(cell.code);
                 }
-            }
+            });
+        }
+        codes.sort_unstable();
+        codes.dedup();
+
+        // 2. Scan the cells in code order, filtering by exact distance.
+        let floor = self.config().min_credit;
+        let mut out: Vec<MapAp> = Vec::new();
+        let mut cached = None;
+        for code in codes {
+            self.scan_bucket(&mut cached, code, |ap| {
+                if ap.credit > floor && dist_to_path(ap.position, path) <= half_width {
+                    out.push(*ap);
+                }
+            });
         }
 
         // 3. Canonical order + dedup (an entry can only appear once per
@@ -140,6 +145,7 @@ mod tests {
 
     #[test]
     fn segment_distance_basics() {
+        let dist_to_segment = |p, a, b| dist2_to_segment(p, a, b).sqrt();
         let a = Point::new(0.0, 0.0);
         let b = Point::new(10.0, 0.0);
         assert!((dist_to_segment(Point::new(5.0, 3.0), a, b) - 3.0).abs() < 1e-12);

@@ -206,6 +206,9 @@ pub(crate) struct ShardGen {
     pub(crate) aps: u64,
 }
 
+/// The last shard generation a bucket scan read, by shard index.
+pub(crate) type GenCache = Option<(usize, Arc<ShardGen>)>;
+
 /// One shard: the published generation plus the writer serialization
 /// lock. The `RwLock` only ever guards the `Arc` swap, never the build.
 #[derive(Debug)]
@@ -555,44 +558,29 @@ impl GeoMap {
         )
         .expect("merge bbox is well-formed");
         let mut best: Option<(Candidate, f64)> = None;
-        let mut remote: Option<(usize, Arc<ShardGen>)> = None;
-        for cell in self.world.cells_covering(bbox, self.cfg.bucket_level) {
-            let owner = self.shard_of_code(cell.code);
-            if owner == s {
-                let Some(bucket) = buckets.get(&cell.code) else {
-                    continue;
-                };
-                for (i, ap) in bucket.iter().enumerate() {
-                    let d = ap.position.distance(pos);
-                    if d <= r && best.as_ref().is_none_or(|(_, bd)| d < *bd) {
-                        best = Some((Candidate::Local(cell.code, i), d));
+        let mut remote: GenCache = None;
+        self.world
+            .for_each_cell_covering(bbox, self.cfg.bucket_level, |cell| {
+                let owner = self.shard_of_code(cell.code);
+                if owner == s {
+                    let Some(bucket) = buckets.get(&cell.code) else {
+                        return;
+                    };
+                    for (i, ap) in bucket.iter().enumerate() {
+                        let d = ap.position.distance(pos);
+                        if d <= r && best.as_ref().is_none_or(|(_, bd)| d < *bd) {
+                            best = Some((Candidate::Local(cell.code, i), d));
+                        }
                     }
+                } else if remote_ok {
+                    self.scan_bucket(&mut remote, cell.code, |ap| {
+                        let d = ap.position.distance(pos);
+                        if d <= r && best.as_ref().is_none_or(|(_, bd)| d < *bd) {
+                            best = Some((Candidate::Remote(owner), d));
+                        }
+                    });
                 }
-            } else {
-                if !remote_ok {
-                    continue;
-                }
-                let cached = matches!(&remote, Some((o, _)) if *o == owner);
-                if !cached {
-                    let g = self.shards[owner]
-                        .current
-                        .read()
-                        .expect("shard lock poisoned")
-                        .clone();
-                    remote = Some((owner, g));
-                }
-                let (_, g) = remote.as_ref().expect("cached remote generation");
-                let Some(bucket) = g.buckets.get(&cell.code) else {
-                    continue;
-                };
-                for ap in bucket.iter() {
-                    let d = ap.position.distance(pos);
-                    if d <= r && best.as_ref().is_none_or(|(_, bd)| d < *bd) {
-                        best = Some((Candidate::Remote(owner), d));
-                    }
-                }
-            }
-        }
+            });
         best.map(|(c, _)| c)
     }
 
@@ -658,31 +646,39 @@ impl GeoMap {
         // Squared-distance compare: one multiply instead of a sqrt per
         // scanned entry — the scan is the lookup hot loop.
         let r2 = radius * radius;
-        let mut cached: Option<(usize, Arc<ShardGen>)> = None;
+        let mut cached: GenCache = None;
         self.world
             .for_each_cell_covering(bbox, self.cfg.bucket_level, |cell| {
-                let s = self.shard_of_code(cell.code);
-                let hit = matches!(&cached, Some((cs, _)) if *cs == s);
-                if !hit {
-                    let g = self.shards[s]
-                        .current
-                        .read()
-                        .expect("shard lock poisoned")
-                        .clone();
-                    cached = Some((s, g));
-                }
-                let (_, g) = cached.as_ref().expect("cached generation");
-                let Some(bucket) = g.buckets.get(&cell.code) else {
-                    return;
-                };
-                for ap in bucket.iter() {
+                self.scan_bucket(&mut cached, cell.code, |ap| {
                     let dx = ap.position.x - center.x;
                     let dy = ap.position.y - center.y;
                     if dx * dx + dy * dy <= r2 {
                         f(ap);
                     }
-                }
+                });
             });
+    }
+
+    /// Calls `f` for every entry of bucket `code` in its shard's
+    /// current generation. `cached` holds the generation of the last
+    /// shard scanned, so a run of codes in one shard read-locks and
+    /// clones that shard's `Arc` once.
+    pub(crate) fn scan_bucket<F: FnMut(&MapAp)>(&self, cached: &mut GenCache, code: u64, f: F) {
+        let s = self.shard_of_code(code);
+        let g = match cached {
+            Some((cs, g)) if *cs == s => g,
+            _ => {
+                let g = self.shards[s]
+                    .current
+                    .read()
+                    .expect("shard lock poisoned")
+                    .clone();
+                &cached.insert((s, g)).1
+            }
+        };
+        if let Some(bucket) = g.buckets.get(&code) {
+            bucket.iter().for_each(f);
+        }
     }
 
     /// Number of stored entries within `radius` of `center` — the

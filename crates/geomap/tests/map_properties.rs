@@ -1,6 +1,7 @@
 //! Map-level behavior pins: consolidation equivalence against the
 //! reference `Consolidator`, TTL-eviction determinism under a seeded
-//! clock, and snapshot → compact → recover byte-identity.
+//! clock, snapshot → compact → recover byte-identity, and radius and
+//! corridor queries against brute-force filters.
 
 use crowdwifi_core::consolidate::Consolidator;
 use crowdwifi_core::ApEstimate;
@@ -60,6 +61,43 @@ fn schedule(seed: u64, rounds: usize, aps: usize) -> Vec<Vec<ApEstimate>> {
             batch
         })
         .collect()
+}
+
+/// A map of several thousand scattered entries, some of them outside
+/// the world (they live in its edge cells).
+fn scattered_map(seed: u64, shard_level: u8) -> GeoMap {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let batch: Vec<ApEstimate> = (0..4000)
+        .map(|_| ApEstimate {
+            position: Point::new(
+                rng.random_range(-100.0..2148.0),
+                rng.random_range(-100.0..2148.0),
+            ),
+            credit: rng.random_range(0.5..3.0),
+        })
+        .collect();
+    let map = GeoMap::new(cfg(shard_level)).unwrap();
+    map.absorb_estimates(ROUND_MICROS, &batch);
+    map
+}
+
+/// Distance from `p` to a polyline; a one-point path is a disc centre.
+fn dist_to_path(p: Point, path: &[Point]) -> f64 {
+    if let [only] = path {
+        return p.distance(*only);
+    }
+    path.windows(2)
+        .map(|w| {
+            let (a, b) = (w[0], w[1]);
+            let (dx, dy) = (b.x - a.x, b.y - a.y);
+            let len2 = dx * dx + dy * dy;
+            if len2 <= 0.0 {
+                return p.distance(a);
+            }
+            let t = (((p.x - a.x) * dx + (p.y - a.y) * dy) / len2).clamp(0.0, 1.0);
+            p.distance(Point::new(a.x + t * dx, a.y + t * dy))
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn run_schedule(map: &GeoMap, batches: &[Vec<ApEstimate>]) {
@@ -203,5 +241,48 @@ proptest! {
         });
         brute.sort_by(canonical_order);
         prop_assert_eq!(map.query_radius(center, radius), brute);
+    }
+
+    /// Corridor queries return exactly the brute-force filter. Each
+    /// case asks 64 random routes of 1–4 points (diagonal segments and
+    /// points outside the world included), each with its own half-width
+    /// drawn log-uniformly from 0.5–120 m: narrow corridors along
+    /// diagonals are where a walk that skips a clipped cell corner
+    /// loses entries.
+    #[test]
+    fn aps_ahead_agrees_with_brute_force(
+        seed in 0u64..1000,
+        shard_level in 0u8..=3,
+        queries in collection::vec(
+            (
+                collection::vec((-200.0..2248.0f64, -200.0..2248.0f64), 1..5),
+                0.5f64.ln()..120f64.ln(),
+            ),
+            64,
+        ),
+    ) {
+        let map = scattered_map(seed, shard_level);
+        let mut all = Vec::new();
+        map.for_each_near(Point::new(1024.0, 1024.0), 1e9, |ap| all.push(*ap));
+        for (path, ln_half_width) in queries {
+            let half_width = ln_half_width.exp();
+            let path: Vec<Point> = path.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+            let mut brute: Vec<_> = all
+                .iter()
+                .filter(|ap| {
+                    ap.credit > map.config().min_credit
+                        && dist_to_path(ap.position, &path) <= half_width
+                })
+                .copied()
+                .collect();
+            brute.sort_by(canonical_order);
+            prop_assert_eq!(
+                map.aps_ahead(&path, half_width),
+                brute,
+                "route {:?}, half-width {}",
+                path,
+                half_width
+            );
+        }
     }
 }

@@ -294,6 +294,7 @@ impl AdmmLasso {
         vector::sub_into(&ws.m_scratch, y, &mut ws.m_scratch2);
         let residual_norm = vector::norm2(&ws.m_scratch2);
         Ok(Recovery {
+            diverged: crate::diverged(&ws.z, residual_norm, lambda, y),
             solution: ws.z.clone(),
             iterations,
             residual_norm,
@@ -465,6 +466,7 @@ impl BasisPursuit {
         vector::sub_into(&ws.m_scratch, y, &mut ws.m_scratch2);
         let residual_norm = vector::norm2(&ws.m_scratch2);
         Ok(Recovery {
+            diverged: crate::diverged(&ws.x, residual_norm, 0.0, y),
             solution: ws.x.clone(),
             iterations,
             residual_norm,

@@ -8,7 +8,7 @@
 use crate::prox::{soft_threshold_nonneg_vec, soft_threshold_vec};
 use crate::screen::{duality_gap, screen_columns};
 use crate::{
-    spectral_norm_sq, validate_problem, Recovery, Result, SolverError, SolverWorkspace,
+    diverged, spectral_norm_sq, validate_problem, Recovery, Result, SolverError, SolverWorkspace,
     SparseRecovery,
 };
 use crowdwifi_linalg::vector;
@@ -288,6 +288,7 @@ impl Fista {
                 converged: true,
                 screened_cols: 0,
                 iterations_saved: 0,
+                diverged: false,
             });
         }
         let step = 1.0 / lipschitz;
@@ -357,6 +358,7 @@ impl Fista {
         vector::sub_into(&ws.m_scratch, y, &mut ws.m_scratch2);
         let residual_norm = vector::norm2(&ws.m_scratch2);
         Ok(Recovery {
+            diverged: diverged(&ws.x, residual_norm, lambda, y),
             solution: ws.x.clone(),
             iterations,
             residual_norm,
@@ -391,6 +393,7 @@ impl Fista {
                 converged: true,
                 screened_cols: 0,
                 iterations_saved: 0,
+                diverged: false,
             });
         }
         let step = 1.0 / lipschitz;
@@ -577,6 +580,7 @@ impl Fista {
         vector::sub_into(&ws.m_scratch, y, &mut ws.m_scratch2);
         let residual_norm = vector::norm2(&ws.m_scratch2);
         Ok(Recovery {
+            diverged: diverged(&x_full, residual_norm, lambda, y),
             solution: x_full,
             iterations,
             residual_norm,
@@ -623,6 +627,7 @@ impl Fista {
                     converged: true,
                     screened_cols: 0,
                     iterations_saved: 0,
+                    diverged: false,
                 })
                 .collect());
         }
@@ -781,6 +786,7 @@ impl Fista {
             vector::sub_into(&az[j], &ys[j], &mut ws.m_scratch2);
             let residual_norm = vector::norm2(&ws.m_scratch2);
             out.push(Recovery {
+                diverged: diverged(&x, residual_norm, lambdas[j], &ys[j]),
                 solution: x,
                 iterations: iterations[j],
                 residual_norm,
@@ -1015,6 +1021,30 @@ mod tests {
         assert_eq!(fixed.support(0.3), est.support(0.3));
         let d = crowdwifi_linalg::vector::distance(&fixed.solution, &est.solution);
         assert!(d < 1e-6, "fixed-L drifted by {d}");
+        assert!(!fixed.diverged && !est.diverged);
+    }
+
+    /// Pinning `L = 1` on an operator with `‖A‖₂² = 4` makes the step
+    /// four times too long: the iterate grows until its residual
+    /// overflows, the relative-change rule still stops the solve as
+    /// converged (`inf ≤ tol·inf`), and `diverged` is what tells the
+    /// caller.
+    #[test]
+    fn too_small_fixed_lipschitz_is_flagged_as_diverged() {
+        let a = Matrix::diagonal(&[2.0, 2.0, 2.0]);
+        let y = [1.0, -2.0, 3.0];
+        let pinned = Fista::default()
+            .with_nonnegative(false)
+            .with_fixed_lipschitz(1.0)
+            .unwrap()
+            .recover(&a, &y)
+            .unwrap();
+        assert!(pinned.diverged, "{pinned:?}");
+        let estimated = Fista::default()
+            .with_nonnegative(false)
+            .recover(&a, &y)
+            .unwrap();
+        assert!(!estimated.diverged, "{estimated:?}");
     }
 
     /// Signed (unconstrained) screening must also preserve the support,

@@ -142,6 +142,7 @@ impl SparseRecovery for Irls {
         vector::sub_into(&ws.m_scratch, y, &mut ws.m_scratch2);
         let residual_norm = vector::norm2(&ws.m_scratch2);
         Ok(Recovery {
+            diverged: crate::diverged(&ws.x, residual_norm, 0.0, y),
             solution: ws.x.clone(),
             iterations,
             residual_norm,

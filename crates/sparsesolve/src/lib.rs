@@ -124,6 +124,12 @@ pub struct Recovery {
     /// Iteration-budget headroom left by early stopping: `cap − iterations`
     /// for converged solves of the iterative families, zero otherwise.
     pub iterations_saved: usize,
+    /// Whether the solve ran away: a non-finite coefficient, or an
+    /// objective `½‖Aθ̂ − y‖² + λ‖θ̂‖₁` above the zero solution's
+    /// `½‖y‖²` (λ = 0 for the equality-constrained and greedy solvers).
+    /// A step size `1/L` with `L` below `‖A‖₂²` diverges this way, and
+    /// the relative-change stop can still report it as `converged`.
+    pub diverged: bool,
 }
 
 impl Recovery {
@@ -223,6 +229,18 @@ pub(crate) fn validate_problem(a: &Matrix, y: &[f64]) -> Result<()> {
     Ok(())
 }
 
+/// The [`Recovery::diverged`] test for a solution with residual norm
+/// `residual_norm` on measurements `y` under ℓ1 weight `lambda`.
+pub(crate) fn diverged(solution: &[f64], residual_norm: f64, lambda: f64, y: &[f64]) -> bool {
+    if !(residual_norm.is_finite() && solution.iter().all(|v| v.is_finite())) {
+        return true;
+    }
+    use crowdwifi_linalg::vector::{norm1, norm2};
+    // ‖y‖ through the same norm as the residual's, so θ = 0 ties exactly.
+    let y_norm = norm2(y);
+    0.5 * residual_norm * residual_norm + lambda * norm1(solution) > 0.5 * y_norm * y_norm
+}
+
 /// Estimates the squared spectral norm `‖A‖₂²` via power iteration on
 /// `AᵀA`; used by the proximal-gradient solvers to pick a safe step size.
 pub(crate) fn spectral_norm_sq(a: &Matrix, iterations: usize) -> f64 {
@@ -283,6 +301,7 @@ mod tests {
             converged: true,
             screened_cols: 0,
             iterations_saved: 0,
+            diverged: false,
         };
         assert_eq!(r.support(0.5), vec![1, 3]);
     }

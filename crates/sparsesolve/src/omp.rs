@@ -121,6 +121,7 @@ impl SparseRecovery for Omp {
         }
         let residual_norm = vector::norm2(&residual);
         Ok(Recovery {
+            diverged: crate::diverged(&solution, residual_norm, 0.0, y),
             solution,
             iterations,
             residual_norm,

@@ -103,6 +103,11 @@ cargo test -q -p crowdwifi-geomap --test map_properties
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-geomap --test map_properties
 cargo test -q --test geomap_stack
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q --test geomap_stack
+# The end-to-end benchmark is a workspace of its own, so nothing above
+# builds it. Its tests pin the percentile rules and the wrapped-vs-plain
+# campaign WAL/snapshot/map byte identity; run them so an API change
+# cannot break the benchmark unnoticed.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 # The observability layer ships a compile-out mode; it must stay green
 # with recording compiled to nothing.
 cargo test -q -p crowdwifi-obs --no-default-features
