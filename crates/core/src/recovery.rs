@@ -20,15 +20,17 @@
 //! The orthogonalization follows Proposition 1 exactly: with
 //! `Q = orth(Aᵀ)ᵀ` and `T = Q A†`, the transformed system
 //! `y' = T y = Q θ + ε'` has orthonormal rows, restoring the incoherence
-//! ℓ1 recovery needs (and, as a bonus, giving the proximal solver a unit
-//! Lipschitz constant).
+//! ℓ1 recovery needs. Orthonormal holds in exact arithmetic only: near
+//! the rank cutoff the computed `Q` drifts from it, so the proximal
+//! solver's step comes from the exact `‖Q‖₂²`, not from a unit
+//! constant.
 
 use crate::{CoreError, Result};
 use crowdwifi_channel::{PathLossModel, RssReading};
 use crowdwifi_geo::{Grid, Point};
 use crowdwifi_linalg::qr::orth;
 use crowdwifi_linalg::svd::pseudo_inverse;
-use crowdwifi_linalg::{Matrix, Svd};
+use crowdwifi_linalg::{Matrix, Svd, SymmetricEigen};
 use crowdwifi_sparsesolve::{AnySolver, Fista, SolverWorkspace, SparseRecovery};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,7 +192,11 @@ impl WarmStartCache {
     /// two windows back would describe APs the vehicle already passed.
     pub fn absorb(&mut self, grid: &Grid, sensing: &WindowSensing) {
         self.entries.clear();
-        let Some(field) = sensing.raw_field_max() else {
+        let raw_max = sensing
+            .raw_max
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let Some(field) = raw_max.as_ref() else {
             return;
         };
         let peak = field.iter().cloned().fold(0.0_f64, f64::max);
@@ -240,10 +246,10 @@ type ModesMemo = HashMap<(Vec<usize>, u64), Vec<crate::centroid::CentroidEstimat
 /// Precomputed per-window sensing state shared by every hypothesis.
 ///
 /// One sliding-window round scores dozens of (k, assignment) hypotheses,
-/// and each hypothesis re-derives the same physics: distances from
-/// every reading to every grid point, and the path-loss signature
-/// matrix built from them. [`CsRecovery::prepare_window`] computes both
-/// once; [`CsRecovery::recover_group`] then assembles a group's pruned
+/// and each hypothesis re-derives the same physics: the path-loss
+/// signature of every grid point within radio range of every reading.
+/// [`CsRecovery::prepare_window`] computes it once;
+/// [`CsRecovery::recover_group`] then assembles a group's pruned
 /// sensing matrix by *indexing* instead of re-evaluating the model, and
 /// memoizes whole group recoveries by their reading-index set (the same
 /// grouping recurs across hypothesized k values and EM refinement
@@ -255,17 +261,27 @@ type ModesMemo = HashMap<(Vec<usize>, u64), Vec<crate::centroid::CentroidEstimat
 /// first.
 #[derive(Debug)]
 pub struct WindowSensing {
-    /// `m × n` distances from reading `i` to grid point `j`.
-    dist: Matrix,
-    /// `m × n` floor-shifted model RSS (the full, unpruned `A`).
+    /// `m × n` floor-shifted model RSS (the full, unpruned `A`) where
+    /// grid point `j` lies within radio range of reading `i`, NaN where
+    /// it does not. A group keeps column `j` only when every one of its
+    /// readings is in range of it, so the model is never evaluated for
+    /// an entry no solve reads.
     sig: Matrix,
     /// Floor-shifted observed RSS per reading.
     shifted_rss: Vec<f64>,
     /// Warm-start field projected onto this window's grid (set by
     /// [`CsRecovery::prepare_window_seeded`]; `None` cold-starts).
     warm_field: Option<Vec<f64>>,
-    /// Completed group recoveries keyed by sorted reading-index set.
-    memo: Mutex<HashMap<Vec<usize>, MemoEntry>>,
+    /// Completed group recoveries (the debiased grid indicators handed
+    /// to hypothesis scoring) keyed by sorted reading-index set.
+    memo: Mutex<HashMap<Vec<usize>, Arc<Vec<f64>>>>,
+    /// Elementwise max of the raw (pre-debias, normalized-column) ℓ1
+    /// solution of every memoized group — the field the next window's
+    /// warm starts are built from. Folded in as each group is memoized,
+    /// so no per-group raw field is kept; `None` until the first one.
+    /// Max-folding is order-independent, so the field is deterministic
+    /// whichever thread memoized first.
+    raw_max: Mutex<Option<Vec<f64>>>,
     /// Memoized candidate-mode extractions keyed by reading-index set
     /// and threshold bits (modes are fully determined by both, since
     /// the recovered indicator itself is memoized by index set).
@@ -290,24 +306,15 @@ pub struct WindowSensing {
     warm_seeded: AtomicU64,
 }
 
-/// One memoized group recovery: the debiased grid indicator handed to
-/// hypothesis scoring, plus the raw (pre-debias, normalized-column) ℓ1
-/// solution the next window's warm starts are built from.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    theta: Arc<Vec<f64>>,
-    raw: Arc<Vec<f64>>,
-}
-
 impl WindowSensing {
     /// Number of readings this workspace was prepared for.
     pub fn readings(&self) -> usize {
-        self.dist.rows()
+        self.sig.rows()
     }
 
     /// Number of grid points this workspace was prepared for.
     pub fn grid_len(&self) -> usize {
-        self.dist.cols()
+        self.sig.cols()
     }
 
     /// Number of distinct group recoveries cached so far.
@@ -365,28 +372,6 @@ impl WindowSensing {
     /// Whether this window was prepared with a warm-start field.
     pub fn is_seeded(&self) -> bool {
         self.warm_field.is_some()
-    }
-
-    /// Elementwise max of every memoized raw solver field, or `None`
-    /// when no group has been solved. Max-folding is order-independent,
-    /// so the result is deterministic despite hash-map iteration.
-    fn raw_field_max(&self) -> Option<Vec<f64>> {
-        let memo = self
-            .memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out: Option<Vec<f64>> = None;
-        for entry in memo.values() {
-            match &mut out {
-                None => out = Some(entry.raw.as_ref().clone()),
-                Some(acc) => {
-                    for (a, &r) in acc.iter_mut().zip(entry.raw.iter()) {
-                        *a = a.max(r);
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -547,28 +532,31 @@ impl CsRecovery {
         Ok(self.solve_pruned(&a_raw, &y, &candidates, n, None)?.theta)
     }
 
-    /// Precomputes the window-wide distance and signature matrices (and
-    /// the shifted observation vector) shared by every hypothesis of one
-    /// round. See [`WindowSensing`].
+    /// Precomputes the window-wide signature matrix (and the shifted
+    /// observation vector) shared by every hypothesis of one round. See
+    /// [`WindowSensing`].
     pub fn prepare_window(&self, grid: &Grid, readings: &[RssReading]) -> WindowSensing {
-        let m = readings.len();
-        let n = grid.len();
-        let dist = Matrix::from_fn(m, n, |i, j| readings[i].position.distance(grid.point(j)));
-        // Evaluate the path-loss model from the *same* distances so a
-        // workspace recovery is bit-identical to the direct path.
-        let sig = Matrix::from_fn(m, n, |i, j| {
-            (self.pathloss.mean_rss(dist.get(i, j)) - self.floor_dbm).max(0.0)
+        // The model only in radio range — the only entries column
+        // pruning keeps — and from the same distance the direct path
+        // computes, so a workspace recovery is bit-identical to it.
+        let sig = Matrix::from_fn(readings.len(), grid.len(), |i, j| {
+            let d = readings[i].position.distance(grid.point(j));
+            if d <= self.radio_range {
+                (self.pathloss.mean_rss(d) - self.floor_dbm).max(0.0)
+            } else {
+                f64::NAN
+            }
         });
         let shifted_rss = readings
             .iter()
             .map(|r| (r.rss_dbm - self.floor_dbm).max(0.0))
             .collect();
         WindowSensing {
-            dist,
             sig,
             shifted_rss,
             warm_field: None,
             memo: Mutex::new(HashMap::new()),
+            raw_max: Mutex::new(None),
             modes_memo: Mutex::new(HashMap::new()),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -627,15 +615,12 @@ impl CsRecovery {
             .get(idx)
         {
             sensing.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.theta.clone());
+            return Ok(hit.clone());
         }
 
         let n = sensing.grid_len();
         let candidates: Vec<usize> = (0..n)
-            .filter(|&j| {
-                idx.iter()
-                    .all(|&i| sensing.dist.get(i, j) <= self.radio_range)
-            })
+            .filter(|&j| idx.iter().all(|&i| !sensing.sig.get(i, j).is_nan()))
             .collect();
         let (theta, raw, solve_stats) = if candidates.is_empty() {
             (vec![0.0; n], vec![0.0; n], None)
@@ -652,10 +637,7 @@ impl CsRecovery {
             let solve = self.solve_pruned(&a_raw, &y, &candidates, n, warm)?;
             (solve.theta, solve.raw, Some(solve.stats))
         };
-        let entry = MemoEntry {
-            theta: Arc::new(theta),
-            raw: Arc::new(raw),
-        };
+        let theta = Arc::new(theta);
         // Two workers can race past the memo check and solve the same
         // group; the solves are identical (recovery is a pure function
         // of the index set, and the warm field is fixed per window), so
@@ -669,7 +651,7 @@ impl CsRecovery {
         match memo.entry(idx.to_vec()) {
             std::collections::hash_map::Entry::Occupied(hit) => {
                 sensing.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(hit.get().theta.clone())
+                Ok(hit.get().clone())
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
                 if let Some(s) = solve_stats {
@@ -693,8 +675,19 @@ impl CsRecovery {
                         sensing.warm_seeded.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                let theta = entry.theta.clone();
-                slot.insert(entry);
+                slot.insert(theta.clone());
+                let mut raw_max = sensing
+                    .raw_max
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                match raw_max.as_mut() {
+                    None => *raw_max = Some(raw),
+                    Some(acc) => {
+                        for (a, r) in acc.iter_mut().zip(raw) {
+                            *a = a.max(r);
+                        }
+                    }
+                }
                 Ok(theta)
             }
         }
@@ -741,11 +734,14 @@ impl CsRecovery {
     /// Applies the active [`SolverAccel`] switches to the configured
     /// solver, returning `None` when the stock solver should run
     /// unchanged (acceleration off, or a solver family with no
-    /// accelerated path). `orthonormal` marks the Proposition-1 branch,
-    /// where `Q` has orthonormal rows and the proximal Lipschitz
-    /// constant is exactly 1 — pinning it skips the power iteration
-    /// every solve would otherwise spend estimating it.
-    fn accel_solver(&self, orthonormal: bool) -> Option<AnySolver> {
+    /// accelerated path). `prop1` is the Proposition-1 operator `Q` when
+    /// that branch is solving: its proximal Lipschitz constant
+    /// `‖Q‖₂² = λ_max(QQᵀ)` is computed exactly from the small `r × r`
+    /// Gram (see [`prop1_lipschitz`]) and pinned, which skips the power
+    /// iteration every solve would otherwise spend estimating it. It is
+    /// *not* 1 in general: the fused `V = AᵀU/σ` loses orthonormality
+    /// near the rank cutoff, and a step sized for `L = 1` then diverges.
+    fn accel_solver(&self, prop1: Option<&Matrix>) -> Option<AnySolver> {
         if !self.accel.is_active() {
             return None;
         }
@@ -758,8 +754,10 @@ impl CsRecovery {
                 if self.accel.gap_rel > 0.0 {
                     f = f.with_gap_tolerance(self.accel.gap_rel).ok()?;
                 }
-                if orthonormal {
-                    f = f.with_fixed_lipschitz(1.0).ok()?;
+                // No exact value (degenerate Gram): leave `L` unpinned so
+                // the solver falls back to its own padded estimate.
+                if let Some(l) = prop1.and_then(prop1_lipschitz) {
+                    f = f.with_fixed_lipschitz(l).ok()?;
                 }
                 Some(AnySolver::Fista(f))
             }
@@ -851,12 +849,12 @@ impl CsRecovery {
                 let y_prime = t.matvec(y);
                 (q, y_prime)
             };
-            match self.accel_solver(true) {
+            match self.accel_solver(Some(&q)) {
                 Some(s) => s.recover_with(&q, &y_prime, &mut ws)?,
                 None => self.solver.recover_with(&q, &y_prime, &mut ws)?,
             }
         } else {
-            match self.accel_solver(false) {
+            match self.accel_solver(None) {
                 Some(s) => s.recover_with(&a, y, &mut ws)?,
                 None => self.solver.recover_with(&a, y, &mut ws)?,
             }
@@ -949,6 +947,29 @@ impl CsRecovery {
             },
         })
     }
+}
+
+/// The exact proximal Lipschitz constant `‖Q‖₂² = λ_max(QQᵀ)` of a
+/// Proposition-1 operator, from its `r × r` row Gram (`r` ≤ readings in
+/// the group, so the product and the eigensolve are tiny next to a
+/// solve). `None` when the Gram is empty or non-finite, or its top
+/// eigenvalue is not a positive finite number.
+fn prop1_lipschitz(q: &Matrix) -> Option<f64> {
+    let r = q.rows();
+    // Lower triangle only, mirrored: `dot` is symmetric bit for bit.
+    let mut gram = Matrix::zeros(r, r);
+    for i in 0..r {
+        for j in 0..=i {
+            let g = crowdwifi_linalg::vector::dot(q.row(i), q.row(j));
+            gram.set(i, j, g);
+            gram.set(j, i, g);
+        }
+    }
+    if !gram.as_slice().iter().all(|v| v.is_finite()) {
+        return None;
+    }
+    let l = *SymmetricEigen::new(&gram).ok()?.eigenvalues().first()?;
+    (l > 0.0 && l.is_finite()).then_some(l)
 }
 
 /// Result of one pruned group solve: the scattered indicator plus the
@@ -1201,6 +1222,72 @@ mod tests {
         }
         // Error propagation: one bad group fails the batch.
         assert!(engine.recover_groups(&sensing, &[vec![99]]).is_err());
+    }
+
+    /// The Proposition-1 step comes from the operator's real norm. On a
+    /// `Q` whose rows are not orthonormal — as the fused SVD's
+    /// `V = AᵀU/σ` becomes near the rank cutoff — a unit pin makes the
+    /// step too long and the solve runs away; the exact `λ_max(QQᵀ)`
+    /// keeps the accelerated solve at or below the zero solution's
+    /// objective.
+    #[test]
+    fn prop1_step_uses_the_exact_operator_norm() {
+        let q = Matrix::from_fn(3, 8, |i, j| (0.9 * ((i + 1) * (j + 1)) as f64).cos());
+        let mut theta = vec![0.0; 8];
+        theta[3] = 2.0;
+        let y = q.matvec(&theta);
+        let lambda_rel = 0.01;
+        let fista = Fista::default()
+            .with_max_iterations(400)
+            .with_lambda_rel(lambda_rel)
+            .unwrap();
+
+        // Premise: ‖Q‖₂² is well above the old unit pin, and lies where
+        // λ_max(QQᵀ) must: between the largest squared row norm and the
+        // trace ‖Q‖_F².
+        let l = prop1_lipschitz(&q).unwrap();
+        assert!(l > 1.5, "premise: ‖Q‖₂² = {l} must exceed 1");
+        let row_max = (0..q.rows())
+            .map(|i| crowdwifi_linalg::vector::dot(q.row(i), q.row(i)))
+            .fold(0.0, f64::max);
+        let trace = q.frobenius_norm().powi(2);
+        assert!(
+            row_max <= l * (1.0 + 1e-12) && l <= trace * (1.0 + 1e-12),
+            "λ_max {l} outside [{row_max}, {trace}]"
+        );
+
+        let pinned = fista
+            .clone()
+            .with_screening(true)
+            .with_fixed_lipschitz(1.0)
+            .unwrap()
+            .recover(&q, &y)
+            .unwrap();
+        assert!(pinned.diverged, "a unit pin should run away: {pinned:?}");
+
+        let engine = engine()
+            .with_solver(fista)
+            .with_accel(SolverAccel::enabled());
+        let solver = engine.accel_solver(Some(&q)).unwrap();
+        let rec = solver
+            .recover_with(&q, &y, &mut SolverWorkspace::new())
+            .unwrap();
+        assert!(!rec.diverged, "{rec:?}");
+        let lambda = lambda_rel * crowdwifi_linalg::vector::norm_inf(&q.matvec_transposed(&y));
+        let residual: Vec<f64> = q
+            .matvec(&rec.solution)
+            .iter()
+            .zip(&y)
+            .map(|(a, b)| a - b)
+            .collect();
+        let objective = 0.5 * crowdwifi_linalg::vector::dot(&residual, &residual)
+            + lambda * crowdwifi_linalg::vector::norm1(&rec.solution);
+        let zero_objective = 0.5 * crowdwifi_linalg::vector::dot(&y, &y);
+        assert!(
+            objective <= zero_objective,
+            "objective {objective} above the zero solution's {zero_objective}"
+        );
+        assert_eq!(rec.support(0.5), vec![3]);
     }
 
     #[test]

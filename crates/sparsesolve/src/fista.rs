@@ -184,10 +184,11 @@ impl Fista {
     }
 
     /// Overrides the Lipschitz constant `L = ‖A‖₂²` of the smooth part
-    /// (default: estimated by 30 power iterations per solve). The
-    /// pipeline's orthogonalized operators (Proposition 1) have
-    /// orthonormal rows, hence exactly `L = 1` — passing it skips the
-    /// estimation entirely.
+    /// (default: estimated by 30 power iterations per solve). Passing a
+    /// caller-computed exact value skips the estimation entirely; the
+    /// pipeline pins `λ_max(QQᵀ)` of its Proposition-1 operators. A
+    /// value below the true `‖A‖₂²` makes the step too long and the
+    /// solve can diverge (reported by `Recovery::diverged`).
     ///
     /// # Errors
     ///
@@ -416,7 +417,7 @@ impl Fista {
         // start pays two matvecs but its small gap screens far harder.
         let mut active: Vec<usize> = (0..n).collect();
         let col_norms: Vec<f64> = if self.screening {
-            (0..n).map(|c| vector::norm2(&a.col(c))).collect()
+            (0..n).map(|c| a.col_norm2(c)).collect()
         } else {
             Vec::new()
         };

@@ -64,15 +64,23 @@ CROWDWIFI_CHAOS_SCHEDULES=12 cargo test -q --test chaos_recovery
 # gap-safe screening has to land on the same minimizer as the plain
 # solve (property test), and the accelerated campus drive must keep the
 # unaccelerated support while cutting >=30% of total l1 iterations.
-# Run both by name so a workspace filter can never silently skip them,
-# and under both kernel dispatch modes: the solver invariants may not
-# depend on which kernel path computed them.
+# The solver_accel suite also gates divergence: on the campus
+# benchmark's sampling no accelerated solve may diverge, nor may more
+# stay unconverged than on the plain path. The recovery unit test pins
+# why: the Proposition-1 step must come from the exact ||Q||_2^2, which
+# exceeds 1 when Q's rows are not orthonormal.
+# Run all of them by name so a workspace filter can never silently skip
+# them, and under both kernel dispatch modes: the solver invariants may
+# not depend on which kernel path computed them.
 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
     screening_preserves_support_and_solution
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
     screening_preserves_support_and_solution
 cargo test -q --test solver_accel
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q --test solver_accel
+cargo test -q -p crowdwifi-core --lib recovery::tests::prop1_step_uses_the_exact_operator_norm
+CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-core --lib \
+    recovery::tests::prop1_step_uses_the_exact_operator_norm
 # The binary wire codec's contracts: proptest round-trips over every
 # message variant (NaN bit-exact, text and binary codecs agreeing), the
 # adversarial corrupted-frame corpus landing in quarantine, and

@@ -1,11 +1,13 @@
-//! Acceptance test for the cross-window solver-acceleration layer: on
+//! Acceptance tests for the cross-window solver-acceleration layer: on
 //! the seed UCI campus drive, the accelerated pipeline (gap-safe
 //! screening + duality-gap stops + warm starts + Gram caching) must
 //! recover the same AP support as the unaccelerated path while spending
 //! at least 30 % fewer total ℓ1 iterations — the machine-independent
 //! reduction the `solver_accel` section of BENCH_pipeline.json reports.
+//! On the campus benchmark's sampling the accelerated solves must also
+//! never diverge, nor leave more solves unconverged than the plain path.
 
-use crowdwifi::core::pipeline::{OnlineCs, OnlineCsConfig};
+use crowdwifi::core::pipeline::{OnlineCs, OnlineCsConfig, PipelineReport};
 use crowdwifi::core::window::WindowConfig;
 use crowdwifi::core::SolverAccel;
 use crowdwifi::geo::Grid;
@@ -28,26 +30,32 @@ fn uci_config(accel: SolverAccel) -> OnlineCsConfig {
     }
 }
 
-#[test]
-fn accelerated_drive_keeps_the_support_and_cuts_iterations() {
-    // The same seeded campus drive the throughput bench replays.
+/// Runs the seeded UCI loop drive (one reading every
+/// `route.duration() / samples` seconds) through the plain and the
+/// accelerated pipeline, in that order.
+fn campus_drive(samples: f64) -> (PipelineReport, PipelineReport) {
     let scenario = Scenario::uci_campus();
     let grid = Grid::new(scenario.area(), 8.0).unwrap();
     let scenario = scenario.snapped_to_grid(&grid);
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let route = mobility::uci_loop_route_with(1, 25.0);
     let readings =
-        RssCollector::new(&scenario).collect_along(&route, route.duration() / 361.0, &mut rng);
+        RssCollector::new(&scenario).collect_along(&route, route.duration() / samples, &mut rng);
     assert!(readings.len() > 150, "drive too sparse: {}", readings.len());
 
-    let baseline = OnlineCs::new(uci_config(SolverAccel::disabled()), *scenario.pathloss())
-        .unwrap()
-        .run_detailed(&readings)
-        .unwrap();
-    let accel = OnlineCs::new(uci_config(SolverAccel::enabled()), *scenario.pathloss())
-        .unwrap()
-        .run_detailed(&readings)
-        .unwrap();
+    let run = |accel| {
+        OnlineCs::new(uci_config(accel), *scenario.pathloss())
+            .unwrap()
+            .run_detailed(&readings)
+            .unwrap()
+    };
+    (run(SolverAccel::disabled()), run(SolverAccel::enabled()))
+}
+
+#[test]
+fn accelerated_drive_keeps_the_support_and_cuts_iterations() {
+    // The same seeded campus drive the throughput bench replays.
+    let (baseline, accel) = campus_drive(361.0);
 
     // Identical recovered support: the same AP count, each accelerated
     // estimate landing on the same lattice neighborhood as its baseline
@@ -89,4 +97,25 @@ fn accelerated_drive_keeps_the_support_and_cuts_iterations() {
     assert!(accel.sensing.warm_seeded > 0, "warm starts never fired");
     assert_eq!(baseline.sensing.screened_cols, 0);
     assert_eq!(baseline.sensing.warm_seeded, 0);
+}
+
+#[test]
+fn accelerated_solves_never_diverge_on_the_campus_benchmark_sampling() {
+    // The end-to-end benchmark's campus workload samples the loop at
+    // `route.duration() / 181`. At that sampling many Proposition-1
+    // operators are far enough from orthonormal rows that a step not
+    // sized to the exact `‖Q‖₂²` runs solves away.
+    let (baseline, accel) = campus_drive(181.0);
+    assert!(accel.sensing.solves > 0);
+    assert_eq!(
+        accel.sensing.diverged, 0,
+        "{} of {} accelerated solves diverged",
+        accel.sensing.diverged, accel.sensing.solves
+    );
+    assert!(
+        accel.sensing.unconverged <= baseline.sensing.unconverged,
+        "accelerated path left {} solves unconverged, plain path {}",
+        accel.sensing.unconverged,
+        baseline.sensing.unconverged
+    );
 }
