@@ -16,7 +16,7 @@
 //!    current allocation-lean `recover_with` on a reused
 //!    [`SolverWorkspace`], verified to produce identical iterates.
 //! 4. **Solver acceleration** — the full drive with the acceleration
-//!    layer (screening, gap stops, warm starts, Gram caching) off vs
+//!    layer (screening, gap stops, Gram caching) off vs
 //!    on, with support preservation asserted.
 //! 5. **Kernel acceleration** — the accelerated drive on the scalar
 //!    kernels + unfused factorization (the PR 5 compute path) vs the
@@ -166,9 +166,8 @@ fn main() {
     let model = *scenario.pathloss();
 
     // Sections 1–3 measure the seed-comparable *unaccelerated* path
-    // (solver acceleration off): the thread sweep needs the parallel
-    // window loop (warm starts serialize it) and the workspace section
-    // asserts bit-identity against the frozen seed FISTA. Section 4
+    // (solver acceleration off): the workspace section asserts
+    // bit-identity against the frozen seed FISTA. Section 4
     // then measures the acceleration layer against this baseline.
     let cfg = OnlineCsConfig {
         window: WindowConfig {
@@ -325,7 +324,7 @@ fn main() {
         lean_secs * 1e6
     );
 
-    // --- 4. Solver acceleration: screening + gap stops + warm starts. ---
+    // --- 4. Solver acceleration: screening + gap stops + Gram caching. ---
     // One drive through the full pipeline with the acceleration layer
     // off vs on. The headline number is machine-independent: total ℓ1
     // iterations across every group solve of the drive. Support
@@ -371,10 +370,9 @@ fn main() {
         accel_reps,
     );
     println!(
-        "solver accel: {base_iters} -> {accel_iters} l1 iterations ({:.1}% cut), {} cols screened, {} warm-seeded solves, wall {:.1} -> {:.1} ms",
+        "solver accel: {base_iters} -> {accel_iters} l1 iterations ({:.1}% cut), {} cols screened, wall {:.1} -> {:.1} ms",
         100.0 * iter_reduction,
         accel_report.sensing.screened_cols,
-        accel_report.sensing.warm_seeded,
         base_wall * 1e3,
         accel_wall * 1e3,
     );
@@ -460,7 +458,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 7,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_accel\": {{\"baseline_iterations\": {base_iters}, \"accel_iterations\": {accel_iters}, \"iteration_reduction\": {iter_reduction:.3}, \"baseline_solves\": {}, \"accel_solves\": {}, \"screened_cols\": {}, \"iterations_saved\": {}, \"warm_seeded\": {}, \"baseline_unconverged\": {}, \"accel_unconverged\": {}, \"baseline_ms\": {:.1}, \"accel_ms\": {:.1}, \"wall_speedup\": {:.3}, \"support_identical\": true}},\n  \"kernel_accel\": {{\"kernel_baseline_ms\": {:.1}, \"kernel_accel_ms\": {:.1}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_support_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_accel and kernel_accel are the machine-independent algorithmic gains over the seed implementation. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions. solver_accel compares one full drive with the acceleration layer (gap-safe screening, duality-gap stops, cross-window warm starts, Gram caching) off vs on: iteration_reduction is the cut in total l1 iterations, and support_identical records the in-bench assertion that both runs recover the same AP set. kernel_accel compares the same accelerated drive on the PR 5 compute path (scalar kernels, MGS orthogonalization + pseudo-inverse) vs the current one (row-blocked vectorized kernels, single-SVD fused factorization): the kernels are bit-identical to the scalar reference, the fused factorization spans the same row space, and kernel_support_identical records the in-bench assertion that both legs recover the same AP set.\"\n}}\n",
+        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 7,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_accel\": {{\"baseline_iterations\": {base_iters}, \"accel_iterations\": {accel_iters}, \"iteration_reduction\": {iter_reduction:.3}, \"baseline_solves\": {}, \"accel_solves\": {}, \"screened_cols\": {}, \"iterations_saved\": {}, \"baseline_unconverged\": {}, \"accel_unconverged\": {}, \"baseline_ms\": {:.1}, \"accel_ms\": {:.1}, \"wall_speedup\": {:.3}, \"support_identical\": true}},\n  \"kernel_accel\": {{\"kernel_baseline_ms\": {:.1}, \"kernel_accel_ms\": {:.1}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_support_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_accel and kernel_accel are the machine-independent algorithmic gains over the seed implementation. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions. solver_accel compares one full drive with the acceleration layer (gap-safe screening, duality-gap stops, Gram caching) off vs on: iteration_reduction is the cut in total l1 iterations, and support_identical records the in-bench assertion that both runs recover the same AP set. kernel_accel compares the same accelerated drive on the earlier compute path (scalar kernels, MGS orthogonalization + pseudo-inverse) vs the current one (row-blocked vectorized kernels, single-SVD fused factorization): the kernels are bit-identical to the scalar reference, the fused factorization spans the same row space, and kernel_support_identical records the in-bench assertion that both legs recover the same AP set.\"\n}}\n",
         readings.len(),
         cfg.window.size,
         cfg.window.step,
@@ -478,7 +476,6 @@ fn main() {
         accel_report.sensing.solves,
         accel_report.sensing.screened_cols,
         accel_report.sensing.iterations_saved,
-        accel_report.sensing.warm_seeded,
         base_report.sensing.unconverged,
         accel_report.sensing.unconverged,
         base_wall * 1e3,

@@ -25,7 +25,6 @@
 //! | `pipeline.solver_diverged` | counter | solves that returned a non-finite iterate or an objective above the zero solution's `½‖y′‖²` |
 //! | `pipeline.screened_cols` | counter | columns removed by gap-safe screening |
 //! | `pipeline.iterations_saved` | counter | iteration-budget headroom from early stops |
-//! | `pipeline.warm_seeded` | counter | solves seeded from a previous window |
 //! | `pipeline.consolidation_merges` | counter | estimates merged into an existing location |
 //! | `pipeline.consolidation_new` | counter | estimates that opened a new location |
 //! | `pipeline.round_seconds` | timer | wall-clock per processed round |
@@ -58,7 +57,6 @@ pub struct PipelineInstruments {
     solver_diverged: Counter,
     screened_cols: Counter,
     iterations_saved: Counter,
-    warm_seeded: Counter,
     merges: Counter,
     new_estimates: Counter,
     round_time: Histogram,
@@ -81,7 +79,6 @@ impl PipelineInstruments {
             solver_diverged: registry.counter("pipeline.solver_diverged"),
             screened_cols: registry.counter("pipeline.screened_cols"),
             iterations_saved: registry.counter("pipeline.iterations_saved"),
-            warm_seeded: registry.counter("pipeline.warm_seeded"),
             merges: registry.counter("pipeline.consolidation_merges"),
             new_estimates: registry.counter("pipeline.consolidation_new"),
             round_time: registry.timer("pipeline.round_seconds"),
@@ -120,7 +117,6 @@ impl PipelineInstruments {
         self.solver_diverged.add(stats.diverged);
         self.screened_cols.add(stats.screened_cols);
         self.iterations_saved.add(stats.iterations_saved);
-        self.warm_seeded.add(stats.warm_seeded);
     }
 
     /// Records one consolidation step: `merged` locations folded into
@@ -166,7 +162,6 @@ mod tests {
             diverged: 2,
             screened_cols: 42,
             iterations_saved: 120,
-            warm_seeded: 3,
         };
         inst.record_round(Some(&est), &stats);
         inst.record_round(None, &SensingStats::default());
@@ -181,7 +176,6 @@ mod tests {
         assert_eq!(snap.counters["pipeline.solver_diverged"], 2);
         assert_eq!(snap.counters["pipeline.screened_cols"], 42);
         assert_eq!(snap.counters["pipeline.iterations_saved"], 120);
-        assert_eq!(snap.counters["pipeline.warm_seeded"], 3);
         assert_eq!(snap.counters["pipeline.consolidation_merges"], 1);
         assert_eq!(snap.counters["pipeline.consolidation_new"], 2);
         assert_eq!(snap.histograms["pipeline.round_winner_k"].count, 1);

@@ -10,7 +10,7 @@
 use crate::assign::ClusterAssigner;
 use crate::consolidate::{ApEstimate, Consolidator};
 use crate::obs::PipelineInstruments;
-use crate::recovery::{CsRecovery, SensingStats, SolverAccel, WarmStartCache};
+use crate::recovery::{CsRecovery, SensingStats, SolverAccel};
 use crate::select::{estimate_round, RoundEstimate};
 use crate::window::{windows_over, SlidingWindow, WindowConfig};
 use crate::{CoreError, Result};
@@ -53,10 +53,9 @@ pub struct OnlineCsConfig {
     /// estimates.
     pub threads: usize,
     /// Solver-acceleration switches for the per-group ℓ1 solves
-    /// (default: all on; see [`SolverAccel`] and DESIGN.md). With
-    /// `warm_start` enabled the *window* loop runs serially so windows
-    /// chain in drive order — hypothesis fan-out inside each window
-    /// still uses `threads`.
+    /// (default: all on; see [`SolverAccel`] and DESIGN.md). Every
+    /// solve starts from zero, so windows are independent and always
+    /// fan out over `threads`.
     pub accel: SolverAccel,
 }
 
@@ -197,17 +196,13 @@ impl OnlineCs {
     /// Propagates recovery failures; an un-formable grid (empty round)
     /// yields `Ok(None)`.
     pub fn process_round(&self, round: &[RssReading]) -> Result<Option<RoundEstimate>> {
-        Ok(self.process_round_stats(round, None)?.0)
+        Ok(self.process_round_stats(round)?.0)
     }
 
     /// [`OnlineCs::process_round`] plus the window's [`SensingStats`].
-    /// When `warm` is given, the solves are seeded from it and it is
-    /// refilled with this window's solutions afterwards (the cross-window
-    /// warm-start chain).
     fn process_round_stats(
         &self,
         round: &[RssReading],
-        warm: Option<&mut WarmStartCache>,
     ) -> Result<(Option<RoundEstimate>, SensingStats)> {
         if round.is_empty() {
             return Ok((None, SensingStats::default()));
@@ -215,10 +210,7 @@ impl OnlineCs {
         let positions: Vec<Point> = round.iter().map(|r| r.position).collect();
         let grid =
             Grid::from_reference_points(&positions, self.config.radio_range, self.config.lattice)?;
-        let sensing = match warm.as_deref() {
-            Some(w) => self.recovery.prepare_window_seeded(&grid, round, w),
-            None => self.recovery.prepare_window(&grid, round),
-        };
+        let sensing = self.recovery.prepare_window(&grid, round);
         let span = self.instruments.round_span();
         let est = estimate_round(
             round,
@@ -234,9 +226,6 @@ impl OnlineCs {
         span.finish();
         let stats = sensing.stats();
         self.instruments.record_round(est.as_ref(), &stats);
-        if let Some(w) = warm {
-            w.absorb(&grid, &sensing);
-        }
         Ok((est, stats))
     }
 
@@ -264,22 +253,9 @@ impl OnlineCs {
         // is safe: the per-round hypothesis fan-out draws from the same
         // global thread budget and runs inline once it is exhausted.
         let windows: Vec<Vec<RssReading>> = windows_over(readings, self.config.window)?;
-        let processed = if self.config.accel.warm_start {
-            // Warm starts chain window w's solutions into window w+1's
-            // initial iterates, which only makes sense in drive order:
-            // run the window loop serially (the per-window hypothesis
-            // fan-out inside `estimate_round` still parallelizes).
-            let mut warm = WarmStartCache::new();
-            let mut out = Vec::with_capacity(windows.len());
-            for round in &windows {
-                out.push(self.process_round_stats(round, Some(&mut warm))?);
-            }
-            out
-        } else {
-            crate::par::try_par_map(&windows, self.config.threads, |_, round| {
-                self.process_round_stats(round, None)
-            })?
-        };
+        let processed = crate::par::try_par_map(&windows, self.config.threads, |_, round| {
+            self.process_round_stats(round)
+        })?;
         let mut rounds = Vec::new();
         let mut sensing = SensingStats::default();
         for (est, stats) in processed {
@@ -336,7 +312,6 @@ impl OnlineCs {
             window: SlidingWindow::new(self.config.window)?,
             consolidator: Consolidator::new(self.config.merge_radius),
             history: Vec::new(),
-            warm: WarmStartCache::new(),
         })
     }
 }
@@ -413,7 +388,7 @@ pub struct PipelineReport {
     pub rounds: Vec<RoundEstimate>,
     /// Drive-total memo/solver statistics summed over every window —
     /// the accounting behind the `solver_accel` bench section
-    /// (iterations, screened columns, warm-seeded solves).
+    /// (iterations, screened columns, unconverged and diverged solves).
     pub sensing: SensingStats,
 }
 
@@ -424,22 +399,12 @@ pub struct OnlineCsSession<'a> {
     window: SlidingWindow,
     consolidator: Consolidator,
     history: Vec<RssReading>,
-    /// Cross-window warm-start chain (mirrors the batch path exactly:
-    /// the session's round sequence is the same as `windows_over`'s).
-    warm: WarmStartCache,
 }
 
 impl OnlineCsSession<'_> {
-    /// Runs one completed round through the pipeline, threading the
-    /// warm-start chain when enabled.
+    /// Runs one completed round through the pipeline.
     fn process(&mut self, round: &[RssReading]) -> Result<()> {
-        let warm = self
-            .pipeline
-            .config
-            .accel
-            .warm_start
-            .then_some(&mut self.warm);
-        if let Some(est) = self.pipeline.process_round_stats(round, warm)?.0 {
+        if let Some(est) = self.pipeline.process_round(round)? {
             self.pipeline
                 .consolidate_estimate(&mut self.consolidator, &est);
         }
@@ -668,8 +633,6 @@ mod tests {
             fast.sensing.solver_iterations,
             base.sensing.solver_iterations
         );
-        assert!(fast.sensing.warm_seeded > 0, "no solve was warm-seeded");
-        assert_eq!(base.sensing.warm_seeded, 0);
         assert_eq!(base.sensing.screened_cols, 0);
     }
 

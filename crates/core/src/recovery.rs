@@ -64,8 +64,6 @@ pub struct SensingStats {
     pub screened_cols: u64,
     /// Iteration-budget headroom left by early-converged solves.
     pub iterations_saved: u64,
-    /// Solves seeded from a previous window's warm-start field.
-    pub warm_seeded: u64,
 }
 
 impl SensingStats {
@@ -80,7 +78,6 @@ impl SensingStats {
         self.diverged += other.diverged;
         self.screened_cols += other.screened_cols;
         self.iterations_saved += other.iterations_saved;
-        self.warm_seeded += other.warm_seeded;
     }
 }
 
@@ -90,9 +87,9 @@ impl SensingStats {
 ///
 /// All features preserve the recovered support: gap-safe screening only
 /// discards columns that are provably zero in every optimum, the
-/// duality-gap stop bounds suboptimality explicitly, warm starts change
-/// the initial iterate but not the fixed point, and the Gram/fixed-
-/// Lipschitz paths are exact algebraic rewrites.
+/// duality-gap stop bounds suboptimality explicitly, and the Gram/fixed-
+/// Lipschitz paths are exact algebraic rewrites. Every solve starts
+/// from zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverAccel {
     /// Re-check gap-safe screening as the duality gap tightens.
@@ -103,11 +100,6 @@ pub struct SolverAccel {
     /// Precompute Gram products (`ΦᵀΦ`, `Φᵀy`) and use the fused
     /// Gram-residual gradient update.
     pub gram: bool,
-    /// Seed each window's solves from the previous window's solution
-    /// field. Forces the window loop serial (windows must be solved in
-    /// drive order to chain); per-window hypothesis fan-out is
-    /// unaffected.
-    pub warm_start: bool,
 }
 
 impl SolverAccel {
@@ -122,7 +114,6 @@ impl SolverAccel {
             screening: true,
             gap_rel: 1e-3,
             gram: true,
-            warm_start: true,
         }
     }
 
@@ -133,109 +124,18 @@ impl SolverAccel {
             screening: false,
             gap_rel: 0.0,
             gram: false,
-            warm_start: false,
         }
     }
 
     /// Whether any feature is on.
     pub fn is_active(&self) -> bool {
-        self.screening || self.gap_rel > 0.0 || self.gram || self.warm_start
+        self.screening || self.gap_rel > 0.0 || self.gram
     }
 }
 
 impl Default for SolverAccel {
     fn default() -> Self {
         Self::enabled()
-    }
-}
-
-/// Cross-window warm-start state: a sparse snapshot of the previous
-/// window's solved ℓ1 fields, re-projected onto the next window's grid.
-///
-/// Consecutive 75 %-overlapping windows solve nearly the same recovery
-/// problems, but each window builds its own lattice from its own
-/// reference points, so solutions cannot be copied index-for-index.
-/// [`WarmStartCache::absorb`] folds every memoized *raw* solver field of
-/// a finished window (elementwise max — order-independent, hence
-/// deterministic despite hash-map iteration) and keeps the dominant
-/// entries as `(position, value)` pairs; [`WarmStartCache::project`]
-/// snaps them onto the next grid via nearest-lattice lookup.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStartCache {
-    entries: Vec<(Point, f64)>,
-}
-
-/// Keep at most this many warm-start entries per window (by value).
-const WARM_MAX_ENTRIES: usize = 512;
-/// Drop warm entries below this fraction of the window's peak value.
-const WARM_REL_CUTOFF: f64 = 1e-3;
-
-impl WarmStartCache {
-    /// An empty cache (the first window always cold-starts).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of retained `(position, value)` entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Replaces the cache with the dominant solved coefficients of a
-    /// finished window (elementwise max over every memoized raw field).
-    /// A window that solved nothing clears the cache: stale seeds from
-    /// two windows back would describe APs the vehicle already passed.
-    pub fn absorb(&mut self, grid: &Grid, sensing: &WindowSensing) {
-        self.entries.clear();
-        let raw_max = sensing
-            .raw_max
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let Some(field) = raw_max.as_ref() else {
-            return;
-        };
-        let peak = field.iter().cloned().fold(0.0_f64, f64::max);
-        if peak <= 0.0 {
-            return;
-        }
-        let cutoff = peak * WARM_REL_CUTOFF;
-        for (j, &v) in field.iter().enumerate() {
-            if v >= cutoff {
-                self.entries.push((grid.point(j), v));
-            }
-        }
-        if self.entries.len() > WARM_MAX_ENTRIES {
-            // Deterministic order: by value descending, grid order on ties.
-            self.entries
-                .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            self.entries.truncate(WARM_MAX_ENTRIES);
-        }
-    }
-
-    /// Projects the cached field onto `grid` (length `grid.len()`),
-    /// taking the max when two entries snap to the same lattice point
-    /// and dropping entries that fall outside the grid. Returns `None`
-    /// when nothing lands on the grid.
-    pub fn project(&self, grid: &Grid) -> Option<Vec<f64>> {
-        if self.entries.is_empty() || grid.is_empty() {
-            return None;
-        }
-        let reach = grid.cell_diagonal();
-        let mut field = vec![0.0_f64; grid.len()];
-        let mut any = false;
-        for &(p, v) in &self.entries {
-            let j = grid.nearest_index(p);
-            if grid.point(j).distance(p) <= reach {
-                field[j] = field[j].max(v);
-                any = true;
-            }
-        }
-        any.then_some(field)
     }
 }
 
@@ -269,19 +169,9 @@ pub struct WindowSensing {
     sig: Matrix,
     /// Floor-shifted observed RSS per reading.
     shifted_rss: Vec<f64>,
-    /// Warm-start field projected onto this window's grid (set by
-    /// [`CsRecovery::prepare_window_seeded`]; `None` cold-starts).
-    warm_field: Option<Vec<f64>>,
     /// Completed group recoveries (the debiased grid indicators handed
     /// to hypothesis scoring) keyed by sorted reading-index set.
     memo: Mutex<HashMap<Vec<usize>, Arc<Vec<f64>>>>,
-    /// Elementwise max of the raw (pre-debias, normalized-column) ℓ1
-    /// solution of every memoized group — the field the next window's
-    /// warm starts are built from. Folded in as each group is memoized,
-    /// so no per-group raw field is kept; `None` until the first one.
-    /// Max-folding is order-independent, so the field is deterministic
-    /// whichever thread memoized first.
-    raw_max: Mutex<Option<Vec<f64>>>,
     /// Memoized candidate-mode extractions keyed by reading-index set
     /// and threshold bits (modes are fully determined by both, since
     /// the recovered indicator itself is memoized by index set).
@@ -302,8 +192,6 @@ pub struct WindowSensing {
     screened_cols: AtomicU64,
     /// Iteration-budget headroom left by early stops.
     iterations_saved: AtomicU64,
-    /// Solves seeded from the warm-start field.
-    warm_seeded: AtomicU64,
 }
 
 impl WindowSensing {
@@ -365,13 +253,7 @@ impl WindowSensing {
             diverged: self.diverged.load(Ordering::Relaxed),
             screened_cols: self.screened_cols.load(Ordering::Relaxed),
             iterations_saved: self.iterations_saved.load(Ordering::Relaxed),
-            warm_seeded: self.warm_seeded.load(Ordering::Relaxed),
         }
-    }
-
-    /// Whether this window was prepared with a warm-start field.
-    pub fn is_seeded(&self) -> bool {
-        self.warm_field.is_some()
     }
 }
 
@@ -529,7 +411,7 @@ impl CsRecovery {
             .iter()
             .map(|&r| (r - self.floor_dbm).max(0.0))
             .collect();
-        Ok(self.solve_pruned(&a_raw, &y, &candidates, n, None)?.theta)
+        Ok(self.solve_pruned(&a_raw, &y, &candidates, n)?.theta)
     }
 
     /// Precomputes the window-wide signature matrix (and the shifted
@@ -538,9 +420,11 @@ impl CsRecovery {
     pub fn prepare_window(&self, grid: &Grid, readings: &[RssReading]) -> WindowSensing {
         // The model only in radio range — the only entries column
         // pruning keeps — and from the same distance the direct path
-        // computes, so a workspace recovery is bit-identical to it.
+        // computes, so a workspace recovery is bit-identical to it. The
+        // cell centres are computed once, not per (reading, cell) pair.
+        let centres: Vec<Point> = (0..grid.len()).map(|j| grid.point(j)).collect();
         let sig = Matrix::from_fn(readings.len(), grid.len(), |i, j| {
-            let d = readings[i].position.distance(grid.point(j));
+            let d = readings[i].position.distance(centres[j]);
             if d <= self.radio_range {
                 (self.pathloss.mean_rss(d) - self.floor_dbm).max(0.0)
             } else {
@@ -554,9 +438,7 @@ impl CsRecovery {
         WindowSensing {
             sig,
             shifted_rss,
-            warm_field: None,
             memo: Mutex::new(HashMap::new()),
-            raw_max: Mutex::new(None),
             modes_memo: Mutex::new(HashMap::new()),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -566,25 +448,7 @@ impl CsRecovery {
             diverged: AtomicU64::new(0),
             screened_cols: AtomicU64::new(0),
             iterations_saved: AtomicU64::new(0),
-            warm_seeded: AtomicU64::new(0),
         }
-    }
-
-    /// [`CsRecovery::prepare_window`] plus a warm-start seed: the
-    /// previous window's [`WarmStartCache`] is projected onto this
-    /// window's grid and every group solve starts from the projected
-    /// field restricted to its candidate columns. Warm starts change
-    /// only the iteration count, not the fixed point the solver
-    /// converges to.
-    pub fn prepare_window_seeded(
-        &self,
-        grid: &Grid,
-        readings: &[RssReading],
-        warm: &WarmStartCache,
-    ) -> WindowSensing {
-        let mut sensing = self.prepare_window(grid, readings);
-        sensing.warm_field = warm.project(grid);
-        sensing
     }
 
     /// Recovers the grid indicator of one hypothesized AP from the
@@ -622,27 +486,22 @@ impl CsRecovery {
         let candidates: Vec<usize> = (0..n)
             .filter(|&j| idx.iter().all(|&i| !sensing.sig.get(i, j).is_nan()))
             .collect();
-        let (theta, raw, solve_stats) = if candidates.is_empty() {
-            (vec![0.0; n], vec![0.0; n], None)
+        let (theta, solve_stats) = if candidates.is_empty() {
+            (vec![0.0; n], None)
         } else {
             let a_raw = Matrix::from_fn(idx.len(), candidates.len(), |r, jc| {
                 sensing.sig.get(idx[r], candidates[jc])
             });
             let y: Vec<f64> = idx.iter().map(|&i| sensing.shifted_rss[i]).collect();
-            let warm = if self.accel.warm_start {
-                sensing.warm_field.as_deref()
-            } else {
-                None
-            };
-            let solve = self.solve_pruned(&a_raw, &y, &candidates, n, warm)?;
-            (solve.theta, solve.raw, Some(solve.stats))
+            let solve = self.solve_pruned(&a_raw, &y, &candidates, n)?;
+            (solve.theta, Some(solve.stats))
         };
         let theta = Arc::new(theta);
         // Two workers can race past the memo check and solve the same
         // group; the solves are identical (recovery is a pure function
-        // of the index set, and the warm field is fixed per window), so
-        // only the insertion winner records its stats — that keeps the
-        // drive-level iteration totals schedule-independent. The loser
+        // of the index set), so only the insertion winner records its
+        // stats — that keeps the drive-level iteration totals
+        // schedule-independent. The loser
         // counts as a hit: its caller is served from the memo.
         let mut memo = sensing
             .memo
@@ -671,23 +530,8 @@ impl CsRecovery {
                     sensing
                         .iterations_saved
                         .fetch_add(s.iterations_saved as u64, Ordering::Relaxed);
-                    if s.warm_used {
-                        sensing.warm_seeded.fetch_add(1, Ordering::Relaxed);
-                    }
                 }
                 slot.insert(theta.clone());
-                let mut raw_max = sensing
-                    .raw_max
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                match raw_max.as_mut() {
-                    None => *raw_max = Some(raw),
-                    Some(acc) => {
-                        for (a, r) in acc.iter_mut().zip(raw) {
-                            *a = a.max(r);
-                        }
-                    }
-                }
                 Ok(theta)
             }
         }
@@ -767,23 +611,20 @@ impl CsRecovery {
                 .ok()
                 .map(AnySolver::AdmmLasso),
             // OMP / IRLS / basis pursuit have no screened or gap-stopped
-            // path; warm starts still flow through the shared workspace.
+            // path.
             _ => None,
         }
     }
 
     /// Normalizes, (optionally) orthogonalizes, solves and debiases the
     /// pruned system; scatters back to the full `n`-length grid. Shared
-    /// by the direct and workspace recovery paths. `warm` is a full-grid
-    /// raw solver field from the previous window; its restriction to the
-    /// candidate columns seeds the solve when it carries any mass.
+    /// by the direct and workspace recovery paths.
     fn solve_pruned(
         &self,
         a_raw: &Matrix,
         y: &[f64],
         candidates: &[usize],
         n: usize,
-        warm: Option<&[f64]>,
     ) -> Result<GroupSolve> {
         let m = a_raw.rows();
         // Column normalization: RSS signatures of near columns have much
@@ -791,27 +632,15 @@ impl CsRecovery {
         // trajectory-adjacent grid points. Normalizing restores the
         // unit-column convention CS theory assumes; the solution is
         // un-scaled afterwards so θ keeps its indicator interpretation.
-        let norms: Vec<f64> = (0..candidates.len())
-            .map(|j| a_raw.col_norm2(j).max(1e-12))
-            .collect();
+        // The sums of squares are reused as the debias `‖a_j‖²` below.
+        let sumsqs = a_raw.col_sumsqs();
+        let norms: Vec<f64> = sumsqs.iter().map(|s| s.sqrt().max(1e-12)).collect();
         let a = Matrix::from_fn(m, candidates.len(), |i, j| a_raw.get(i, j) / norms[j]);
 
         // One workspace per solve keeps the solver's per-iteration
         // vectors (x/z/gradients) in reused buffers instead of fresh
         // heap allocations every FISTA step.
         let mut ws = SolverWorkspace::new();
-        // Warm-start seed: the previous window's raw solution restricted
-        // to this group's candidates. Both solver branches work in the
-        // same coordinate space (one unknown per candidate column), so
-        // the restriction is a plain gather.
-        let mut warm_used = false;
-        if let Some(field) = warm {
-            let x0: Vec<f64> = candidates.iter().map(|&j| field[j]).collect();
-            if x0.iter().any(|&v| v > 0.0) {
-                ws.set_warm_start(&x0);
-                warm_used = true;
-            }
-        }
         let recovery = if self.orthogonalize {
             let (q, y_prime) = if self.fused_factorization {
                 // Fused Proposition 1: one SVD A = U Σ Vᵀ yields both
@@ -860,14 +689,6 @@ impl CsRecovery {
             }
         };
 
-        // Raw solver field on the full grid — the warm-start seed for
-        // the next window's solves (pre-debias so reseeding stays in
-        // solver coordinates).
-        let mut raw = vec![0.0; n];
-        for (jc, &j) in candidates.iter().enumerate() {
-            raw[j] = recovery.solution[jc];
-        }
-
         // Un-scale the pruned solution.
         let mut pruned: Vec<f64> = recovery
             .solution
@@ -894,23 +715,33 @@ impl CsRecovery {
         let max_coef = pruned.iter().cloned().fold(0.0_f64, f64::max);
         {
             let ynorm = crowdwifi_linalg::vector::norm2(y).max(1e-12);
-            let mut scored: Vec<(usize, f64, f64)> = Vec::with_capacity(pruned.len());
-            // One residual buffer for the whole rescoring loop; the
-            // column itself is read straight out of the matrix storage
-            // (`col_sumsq`/`col_dot`/`col_iter`) instead of being
-            // copied into a fresh `Vec` per candidate.
-            let mut res: Vec<f64> = Vec::with_capacity(m);
-            for j in 0..pruned.len() {
-                let cc = a_raw.col_sumsq(j);
-                if cc <= 0.0 {
-                    continue;
+            // `⟨a_j, y⟩` and `‖y − c_j a_j‖²` as row sweeps with one
+            // accumulator per column: each column is still summed top to
+            // bottom from −0.0, so every float equals the per-column
+            // `col_dot` / residual `norm2` chain.
+            let rows = || a_raw.as_slice().chunks_exact(a_raw.cols().max(1)).zip(y);
+            let mut dots = vec![-0.0; pruned.len()];
+            for (row, &yi) in rows() {
+                for (d, &a) in dots.iter_mut().zip(row) {
+                    *d += a * yi;
                 }
-                let cj = (a_raw.col_dot(j, y) / cc).max(0.0);
-                res.clear();
-                res.extend(y.iter().zip(a_raw.col_iter(j)).map(|(yy, aa)| yy - cj * aa));
-                let relres = crowdwifi_linalg::vector::norm2(&res) / ynorm;
-                scored.push((j, cj, relres));
             }
+            let coefs: Vec<f64> = sumsqs
+                .iter()
+                .zip(&dots)
+                .map(|(&cc, &d)| if cc > 0.0 { (d / cc).max(0.0) } else { 0.0 })
+                .collect();
+            let mut res_sq = vec![-0.0; pruned.len()];
+            for (row, &yi) in rows() {
+                for ((r, &a), &c) in res_sq.iter_mut().zip(row).zip(&coefs) {
+                    let e = yi - c * a;
+                    *r += e * e;
+                }
+            }
+            let scored: Vec<(usize, f64, f64)> = (0..pruned.len())
+                .filter(|&j| sumsqs[j] > 0.0 || sumsqs[j].is_nan())
+                .map(|j| (j, coefs[j], res_sq[j].sqrt() / ynorm))
+                .collect();
             if !scored.is_empty() {
                 let res_min = scored.iter().map(|s| s.2).fold(f64::INFINITY, f64::min);
                 let scale = res_min.max(0.01);
@@ -936,14 +767,12 @@ impl CsRecovery {
         }
         Ok(GroupSolve {
             theta,
-            raw,
             stats: SolveStats {
                 iterations: recovery.iterations,
                 converged: recovery.converged,
                 diverged: recovery.diverged,
                 screened_cols: recovery.screened_cols,
                 iterations_saved: recovery.iterations_saved,
-                warm_used,
             },
         })
     }
@@ -977,8 +806,6 @@ fn prop1_lipschitz(q: &Matrix) -> Option<f64> {
 /// [`SensingStats`]).
 struct GroupSolve {
     theta: Vec<f64>,
-    /// Raw (pre-debias) solver solution scattered to the full grid.
-    raw: Vec<f64>,
     stats: SolveStats,
 }
 
@@ -989,7 +816,6 @@ struct SolveStats {
     diverged: bool,
     screened_cols: usize,
     iterations_saved: usize,
-    warm_used: bool,
 }
 
 #[cfg(test)]
@@ -1319,58 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_absorbs_and_projects() {
-        let grid = grid_100();
-        let ap = grid.point(grid.nearest_index(Point::new(45.0, 45.0)));
-        let route = l_route();
-        let readings: Vec<crowdwifi_channel::RssReading> = route
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                crowdwifi_channel::RssReading::new(
-                    p,
-                    PathLossModel::uci_campus().mean_rss(p.distance(ap)),
-                    i as f64,
-                )
-            })
-            .collect();
-        let engine = engine().with_accel(SolverAccel::enabled());
-        let mut warm = WarmStartCache::new();
-        assert!(warm.is_empty());
-        assert!(warm.project(&grid).is_none());
-
-        // Window 1: cold solves fill the memo; absorb snapshots it.
-        let sensing = engine.prepare_window_seeded(&grid, &readings, &warm);
-        assert!(!sensing.is_seeded());
-        let idx: Vec<usize> = (0..readings.len()).collect();
-        engine.recover_group(&sensing, &idx).unwrap();
-        warm.absorb(&grid, &sensing);
-        assert!(!warm.is_empty());
-        let field = warm.project(&grid).expect("projection lands on grid");
-        assert_eq!(field.len(), grid.len());
-        assert!(field.iter().any(|&v| v > 0.0));
-
-        // Window 2 (same grid here): the seeded solve reports warm use
-        // and reaches the same answer as window 1's cold solve.
-        let seeded = engine.prepare_window_seeded(&grid, &readings, &warm);
-        assert!(seeded.is_seeded());
-        let warm_theta = engine.recover_group(&seeded, &idx).unwrap();
-        let cold_theta = engine.recover_group(&sensing, &idx).unwrap();
-        let stats = seeded.stats();
-        assert_eq!(stats.warm_seeded, 1);
-        let peak = |t: &[f64]| {
-            (0..t.len())
-                .max_by(|&a, &b| t[a].partial_cmp(&t[b]).unwrap())
-                .unwrap()
-        };
-        assert_eq!(peak(&warm_theta), peak(&cold_theta));
-        // A window that solved nothing clears the chain.
-        let empty = engine.prepare_window(&grid, &readings);
-        warm.absorb(&grid, &empty);
-        assert!(warm.is_empty());
-    }
-
-    #[test]
     fn stats_merge_sums_every_field() {
         let a = SensingStats {
             lookups: 1,
@@ -1381,7 +1155,6 @@ mod tests {
             diverged: 9,
             screened_cols: 6,
             iterations_saved: 7,
-            warm_seeded: 8,
         };
         let mut total = a;
         total.merge(&a);
@@ -1396,7 +1169,6 @@ mod tests {
                 diverged: 18,
                 screened_cols: 12,
                 iterations_saved: 14,
-                warm_seeded: 16,
             }
         );
     }

@@ -256,11 +256,8 @@ fn recover_group_modes(
     rel_threshold: f64,
 ) -> Result<Option<Vec<Vec<crate::centroid::CentroidEstimate>>>> {
     // Groups are recovered one at a time so a degenerate group aborts
-    // the hypothesis *before* solving its remaining siblings: extra
-    // solves would be pure waste, and their memoized fields would leak
-    // into the cross-window warm-start state
-    // ([`crate::recovery::WarmStartCache::absorb`] folds every memoized
-    // field of a finished window). Duplicate groupings across
+    // the hypothesis *before* solving its remaining siblings, whose
+    // solves would be pure waste. Duplicate groupings across
     // hypotheses and EM passes still hit the [`WindowSensing`] memo;
     // callers without early-out semantics batch through
     // [`CsRecovery::recover_groups`] instead.

@@ -230,14 +230,19 @@ impl Matrix {
         acc
     }
 
-    /// ℓ2 norm of column `c` (`col_sumsq(c).sqrt()`), matching
-    /// `vector::norm2(&self.col(c))` bit for bit without the copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn col_norm2(&self, c: usize) -> f64 {
-        self.col_sumsq(c).sqrt()
+    /// [`Matrix::col_sumsq`] of every column, bit for bit, in one
+    /// row-major sweep: each column keeps its own accumulator, so it is
+    /// still summed top to bottom from −0.0, but the loads are
+    /// contiguous and the per-column chains run side by side instead of
+    /// one strided serial chain at a time.
+    pub fn col_sumsqs(&self) -> Vec<f64> {
+        let mut acc = vec![-0.0; self.cols];
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            for (a, &x) in acc.iter_mut().zip(row) {
+                *a += x * x;
+            }
+        }
+        acc
     }
 
     /// Underlying row-major buffer.

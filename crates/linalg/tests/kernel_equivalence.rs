@@ -20,6 +20,7 @@
 //! identical signed-zero and infinity bits, and NaN-iff-NaN.
 
 use crowdwifi_linalg::kernels::{self, scalar, vector};
+use crowdwifi_linalg::Matrix;
 use proptest::prelude::*;
 
 /// An element strategy that mixes ordinary magnitudes with the awkward
@@ -249,5 +250,18 @@ proptest! {
                 "acc_rows_batch column diverged on {}x{}", rows, cols
             );
         }
+    }
+
+    /// The row-sweep column reduction is the strided per-column one,
+    /// reordered across columns only.
+    #[test]
+    fn col_sumsqs_matches_col_sumsq_bitwise(m in matrix()) {
+        let (rows, cols, a) = m;
+        let a = Matrix::from_vec(rows, cols, a).unwrap();
+        let per_col: Vec<f64> = (0..cols).map(|c| a.col_sumsq(c)).collect();
+        prop_assert_eq!(
+            bits(&a.col_sumsqs()), bits(&per_col),
+            "col_sumsqs diverged on {}x{}", rows, cols
+        );
     }
 }

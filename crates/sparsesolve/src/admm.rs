@@ -173,7 +173,6 @@ impl SparseRecovery for AdmmLasso {
         ys: &[Vec<f64>],
         ws: &mut SolverWorkspace,
     ) -> Result<Vec<Recovery>> {
-        ws.clear_warm_start();
         for y in ys {
             validate_problem(a, y)?;
         }
@@ -217,16 +216,6 @@ impl AdmmLasso {
         ws.z.resize(n, 0.0);
         ws.u.clear();
         ws.u.resize(n, 0.0);
-        // A pending warm-start seed replaces the zero start of the
-        // sparse iterate z (the x-update immediately pulls x toward
-        // it); non-finite or infeasible entries fall back to zero.
-        if let Some(warm) = ws.take_warm_start(n) {
-            for (zi, &wi) in ws.z.iter_mut().zip(&warm) {
-                if wi.is_finite() && (!self.nonnegative || wi > 0.0) {
-                    *zi = wi;
-                }
-            }
-        }
         let mut iterations = 0;
         let mut converged = false;
 
@@ -381,7 +370,6 @@ impl SparseRecovery for BasisPursuit {
         ys: &[Vec<f64>],
         ws: &mut SolverWorkspace,
     ) -> Result<Vec<Recovery>> {
-        ws.clear_warm_start();
         for y in ys {
             validate_problem(a, y)?;
         }

@@ -214,14 +214,10 @@ impl Fista {
         self.gram && a_act.cols() <= 2 * a_act.rows()
     }
 
-    /// Whether any acceleration feature (or a pending warm start in
-    /// `ws`) routes this solve through the accelerated path.
-    fn accelerated(&self, ws: &SolverWorkspace) -> bool {
-        self.screening
-            || self.gap_tolerance > 0.0
-            || self.gram
-            || self.lipschitz.is_some()
-            || ws.has_warm_start()
+    /// Whether any acceleration feature routes this solve through the
+    /// accelerated path.
+    fn accelerated(&self) -> bool {
+        self.screening || self.gap_tolerance > 0.0 || self.gram || self.lipschitz.is_some()
     }
 }
 
@@ -232,7 +228,7 @@ impl SparseRecovery for Fista {
 
     fn recover_with(&self, a: &Matrix, y: &[f64], ws: &mut SolverWorkspace) -> Result<Recovery> {
         validate_problem(a, y)?;
-        if self.accelerated(ws) {
+        if self.accelerated() {
             self.recover_accel(a, y, ws)
         } else {
             self.recover_classic(a, y, ws)
@@ -245,7 +241,6 @@ impl SparseRecovery for Fista {
         ys: &[Vec<f64>],
         ws: &mut SolverWorkspace,
     ) -> Result<Vec<Recovery>> {
-        ws.clear_warm_start();
         for y in ys {
             validate_problem(a, y)?;
         }
@@ -373,14 +368,13 @@ impl Fista {
         })
     }
 
-    /// The accelerated path: warm starts, gap-safe screening with a
-    /// compacted active set, optional Gram gradient, optional fixed
+    /// The accelerated path: gap-safe screening with a compacted
+    /// active set, optional Gram gradient, optional fixed
     /// Lipschitz constant and duality-gap early stopping. Minimizes the
     /// same objective as the classic path — a different iterate route
     /// to the same optimum — so recovered supports are unchanged.
     fn recover_accel(&self, a: &Matrix, y: &[f64], ws: &mut SolverWorkspace) -> Result<Recovery> {
         let n = a.cols();
-        let warm = ws.take_warm_start(n);
 
         let lipschitz = match self.lipschitz {
             Some(l) => l,
@@ -403,45 +397,19 @@ impl Fista {
         let b_full = a.matvec_transposed(y);
         let lambda = self.lambda_rel * vector::norm_inf(&b_full);
 
-        // Warm seed (projected onto the feasible set, non-finite → 0);
-        // cold start is the zero vector.
-        let mut x_full = warm.unwrap_or_else(|| vec![0.0; n]);
-        for v in &mut x_full {
-            if !v.is_finite() || (self.nonnegative && *v < 0.0) {
-                *v = 0.0;
-            }
-        }
-
-        // Initial gap + screening at x⁰. For a cold start the residual
-        // is y and the correlations are Aᵀy (already computed); a warm
-        // start pays two matvecs but its small gap screens far harder.
+        // Initial gap + screening at the zero start, where the residual
+        // is y and the correlations are Aᵀy (already computed).
         let mut active: Vec<usize> = (0..n).collect();
         let col_norms: Vec<f64> = if self.screening {
-            (0..n).map(|c| a.col_norm2(c)).collect()
+            a.col_sumsqs().into_iter().map(f64::sqrt).collect()
         } else {
             Vec::new()
         };
         if self.screening && lambda > 0.0 {
-            let cold = x_full.iter().all(|&v| v == 0.0);
-            let (r, atr) = if cold {
-                (y.to_vec(), b_full.clone())
-            } else {
-                let ax = a.matvec(&x_full);
-                let r: Vec<f64> = y.iter().zip(&ax).map(|(yi, vi)| yi - vi).collect();
-                let atr = a.matvec_transposed(&r);
-                (r, atr)
-            };
-            let gap = duality_gap(
-                y,
-                &r,
-                &atr,
-                vector::norm1(&x_full),
-                lambda,
-                self.nonnegative,
-            );
+            let gap = duality_gap(y, y, &b_full, 0.0, lambda, self.nonnegative);
             screen_columns(
                 &mut active,
-                &atr,
+                &b_full,
                 &gap,
                 &col_norms,
                 lambda,
@@ -455,9 +423,9 @@ impl Fista {
         let mut b_act: Vec<f64> = active.iter().map(|&j| b_full[j]).collect();
         let mut g_act = self.gram_pays(&a_act).then(|| a_act.gram());
         ws.x.clear();
-        ws.x.extend(active.iter().map(|&j| x_full[j]));
+        ws.x.resize(active.len(), 0.0);
         ws.z.clear();
-        ws.z.extend_from_slice(&ws.x);
+        ws.z.resize(active.len(), 0.0);
 
         let mut t: f64 = 1.0;
         let mut iterations = 0;
@@ -573,7 +541,7 @@ impl Fista {
         }
 
         // Scatter back to the full column space.
-        x_full.iter_mut().for_each(|v| *v = 0.0);
+        let mut x_full = vec![0.0; n];
         for (i, &j) in active.iter().enumerate() {
             x_full[j] = ws.x[i];
         }
@@ -957,53 +925,6 @@ mod tests {
         );
     }
 
-    /// A warm start at (near) the solution converges almost instantly
-    /// and is consumed exactly once.
-    #[test]
-    fn warm_start_cuts_iterations_and_is_consumed() {
-        let (m, n) = (20, 64);
-        let a = bernoulli_matrix(m, n, 29);
-        let mut theta = vec![0.0; n];
-        theta[10] = 1.0;
-        theta[55] = 1.0;
-        let y = a.matvec(&theta);
-        let solver = Fista::default().with_gap_tolerance(1e-8).unwrap();
-
-        let mut ws = SolverWorkspace::new();
-        let cold = solver.recover_with(&a, &y, &mut ws).unwrap();
-        ws.set_warm_start(&cold.solution);
-        let warm = solver.recover_with(&a, &y, &mut ws).unwrap();
-        assert!(!ws.has_warm_start(), "seed must be consumed");
-        assert!(
-            warm.iterations < cold.iterations,
-            "warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        let mut sw = warm.support(0.3);
-        let mut sc = cold.support(0.3);
-        sw.sort_unstable();
-        sc.sort_unstable();
-        assert_eq!(sw, sc);
-    }
-
-    /// A mis-sized warm seed is discarded and the solve starts cold.
-    #[test]
-    fn mismatched_warm_start_is_discarded() {
-        let a = bernoulli_matrix(16, 32, 5);
-        let mut theta = vec![0.0; 32];
-        theta[8] = 1.0;
-        let y = a.matvec(&theta);
-        let solver = Fista::default().with_gap_tolerance(1e-8).unwrap();
-        let mut ws = SolverWorkspace::new();
-        let baseline = solver.recover_with(&a, &y, &mut ws).unwrap();
-        ws.set_warm_start(&[1.0; 7]); // wrong length
-        let rec = solver.recover_with(&a, &y, &mut ws).unwrap();
-        assert!(!ws.has_warm_start());
-        assert_eq!(rec.solution, baseline.solution);
-        assert_eq!(rec.iterations, baseline.iterations);
-    }
-
     /// The fixed-Lipschitz override must reproduce the estimated-L
     /// solution on an operator whose norm is known exactly (orthonormal
     /// rows → L = 1).
@@ -1146,21 +1067,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A pending warm-start seed (inherently per-column) must be
-    /// dropped by the batched path: every column starts cold.
-    #[test]
-    fn multi_rhs_ignores_pending_warm_start() {
-        let (a, ys) = batch_problem(16, 32, 19, 2);
-        let solver = Fista::default().with_gap_tolerance(1e-8).unwrap();
-        let cold = solver.recover(&a, &ys[0]).unwrap();
-        let mut ws = SolverWorkspace::new();
-        ws.set_warm_start(&cold.solution);
-        let multi = solver.recover_multi(&a, &ys, &mut ws).unwrap();
-        assert!(!ws.has_warm_start(), "seed must be cleared");
-        assert_eq!(multi[0].solution, cold.solution);
-        assert_eq!(multi[0].iterations, cold.iterations);
     }
 
     #[test]

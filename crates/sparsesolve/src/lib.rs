@@ -190,9 +190,7 @@ pub trait SparseRecovery {
     /// standalone [`SparseRecovery::recover_with`] on that column would
     /// produce from a cold start; batching only amortizes the work the
     /// columns share (Lipschitz estimation, Gram/Cholesky
-    /// factorizations, matrix traversals). Because a warm-start seed is
-    /// inherently per-column, any pending seed in `ws` is cleared
-    /// before the batch so every column starts cold.
+    /// factorizations, matrix traversals).
     ///
     /// The default implementation is the per-column loop; solvers with
     /// shareable per-operator work (`Fista`, `AdmmLasso`,
@@ -208,7 +206,6 @@ pub trait SparseRecovery {
         ys: &[Vec<f64>],
         ws: &mut SolverWorkspace,
     ) -> Result<Vec<Recovery>> {
-        ws.clear_warm_start();
         ys.iter().map(|y| self.recover_with(a, y, ws)).collect()
     }
 

@@ -15,9 +15,7 @@
 /// never observes stale data from a previous one. Routing a solver
 /// through a workspace changes *where* intermediates live, never the
 /// arithmetic: `recover` and `recover_with` return bit-identical
-/// [`crate::Recovery`] values — unless a warm-start seed is pending
-/// (see [`SolverWorkspace::set_warm_start`]), which deliberately
-/// changes the iterate *path* (never the optimum being approximated).
+/// [`crate::Recovery`] values.
 ///
 /// Buffer roles are loose by design — `x`/`x_alt` double as the
 /// current/next iterate swap pair, `m_scratch`/`m_scratch2` hold
@@ -42,57 +40,12 @@ pub struct SolverWorkspace {
     pub(crate) m_scratch: Vec<f64>,
     /// Second measurement-length scratch (residuals).
     pub(crate) m_scratch2: Vec<f64>,
-    /// Pending warm-start seed (see [`SolverWorkspace::set_warm_start`]).
-    warm: Vec<f64>,
-    /// Whether `warm` holds a seed for the next solve.
-    warm_set: bool,
 }
 
 impl SolverWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Seeds the *next* warm-start-capable solve (`Fista`, `AdmmLasso`)
-    /// from `x0` instead of the zero vector — the cross-window reuse
-    /// hook of the CS pipeline, where 75% reading overlap makes the
-    /// previous window's solution an excellent starting iterate.
-    ///
-    /// The seed is consumed by exactly one solve and then cleared. A
-    /// seed whose length does not match the problem's column count, or
-    /// a solver without warm-start support, discards it silently; the
-    /// solve then starts cold as usual. Non-finite seed entries are
-    /// treated as zero by the consumers.
-    pub fn set_warm_start(&mut self, x0: &[f64]) {
-        self.warm.clear();
-        self.warm.extend_from_slice(x0);
-        self.warm_set = true;
-    }
-
-    /// Whether a warm-start seed is pending for the next solve.
-    pub fn has_warm_start(&self) -> bool {
-        self.warm_set
-    }
-
-    /// Drops any pending warm-start seed (batched solves always start
-    /// cold — a seed is inherently per-column).
-    pub(crate) fn clear_warm_start(&mut self) {
-        self.warm_set = false;
-    }
-
-    /// Consumes the pending seed if it matches a problem with `n`
-    /// columns. Always clears the pending flag.
-    pub(crate) fn take_warm_start(&mut self, n: usize) -> Option<Vec<f64>> {
-        if !self.warm_set {
-            return None;
-        }
-        self.warm_set = false;
-        if self.warm.len() == n {
-            Some(std::mem::take(&mut self.warm))
-        } else {
-            None
-        }
     }
 }
 

@@ -66,7 +66,10 @@ CROWDWIFI_CHAOS_SCHEDULES=12 cargo test -q --test chaos_recovery
 # unaccelerated support while cutting >=30% of total l1 iterations.
 # The solver_accel suite also gates divergence: on the campus
 # benchmark's sampling no accelerated solve may diverge, nor may more
-# stay unconverged than on the plain path. The recovery unit test pins
+# stay unconverged than on the plain path. On that sampling it also
+# gates the cold-start cut: every solve starts from zero, and the
+# accelerated path may spend at most 60% of the plain path's l1
+# iterations. The recovery unit test pins
 # why: the Proposition-1 step must come from the exact ||Q||_2^2, which
 # exceeds 1 when Q's rows are not orthonormal.
 # Run all of them by name so a workspace filter can never silently skip
