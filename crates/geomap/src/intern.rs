@@ -1,15 +1,10 @@
-//! Shared AP-identifier interning.
+//! AP-identifier interning.
 //!
-//! Both the middleware's columnar observation store and the global AP
-//! map name APs by small dense `u32` ids. Before this module each kept
-//! its own intern table, which meant the same AP key could map to
-//! different ids on the two sides. The [`Interner`] here is the single
-//! implementation; [`SharedInterner`] lets the store and the map hang
-//! off *one* table so ids can never disagree.
+//! The global AP map names APs by small dense `u32` ids handed out by
+//! the [`Interner`] here, keyed by [`grid_key`].
 
 use crowdwifi_geo::Point;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// First-come-first-serve string intern table handing out dense,
 /// stable `u32` ids.
@@ -63,21 +58,10 @@ impl Interner {
     }
 }
 
-/// An intern table shared between producers (e.g. the observation
-/// store and the AP map), so both hand out identical ids for identical
-/// keys.
-pub type SharedInterner = Arc<Mutex<Interner>>;
-
-/// A fresh shareable intern table.
-pub fn shared_interner() -> SharedInterner {
-    Arc::new(Mutex::new(Interner::new()))
-}
-
 /// The canonical grid-quantized AP key for a position: `ap(ix,iy)`
-/// with `ix = floor(x / resolution)` (same for `iy`). This is the key
-/// scheme `middleware::store` has always used at 10 m resolution; the
-/// map founds new entries under the same keys so a shared [`Interner`]
-/// yields matching ids.
+/// with `ix = floor(x / resolution)` (same for `iy`). The map founds
+/// new entries under these keys, so APs founded in the same cell share
+/// one id.
 ///
 /// # Panics
 ///
@@ -110,16 +94,8 @@ mod tests {
     }
 
     #[test]
-    fn grid_key_matches_store_scheme() {
+    fn grid_key_floors_to_the_resolution_cell() {
         assert_eq!(grid_key(Point::new(75.0, 25.0), 10.0), "ap(7,2)");
         assert_eq!(grid_key(Point::new(-0.1, 0.0), 10.0), "ap(-1,0)");
-    }
-
-    #[test]
-    fn shared_table_hands_out_one_id_per_key() {
-        let shared = shared_interner();
-        let a = shared.lock().unwrap().intern("ap(7,2)");
-        let b = Arc::clone(&shared).lock().unwrap().intern("ap(7,2)");
-        assert_eq!(a, b);
     }
 }

@@ -14,21 +14,24 @@
 //! * [`corridor`] — trajectory-corridor queries over the map.
 //! * [`snapshot`] — CRC-framed snapshots and compaction, in the same
 //!   framing idiom as the middleware durability layer.
-//! * [`intern`] — the AP-identifier intern table shared with
-//!   `middleware::store`, so the two sides never disagree on ids.
+//! * [`intern`] — the AP-identifier intern table the map names entries
+//!   with.
+//! * [`crc`] — the IEEE CRC32 every framed record in the workspace
+//!   carries (this crate is the lowest one both framers depend on).
 
 #![deny(missing_docs)]
 
 pub mod corridor;
+pub mod crc;
 pub mod geohash;
 pub mod intern;
 pub mod map;
 pub mod snapshot;
 
+pub use crc::{crc32, crc32_update};
 pub use geohash::{GeoCell, World, MAX_LEVEL};
-pub use intern::{grid_key, shared_interner, Interner, SharedInterner};
+pub use intern::{grid_key, Interner};
 pub use map::{canonical_order, EvictStats, GeoMap, IngestStats, MapAp, MapConfig, MapStats};
-pub use snapshot::crc32;
 
 /// Errors produced by the map.
 #[derive(Debug, Clone, PartialEq, Eq)]

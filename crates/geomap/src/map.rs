@@ -21,7 +21,7 @@
 //! caller, so TTL eviction is deterministic under a seeded clock.
 
 use crate::geohash::{GeoCell, World, MAX_LEVEL};
-use crate::intern::{grid_key, shared_interner, SharedInterner};
+use crate::intern::{grid_key, Interner};
 use crate::{MapError, Result};
 use crowdwifi_core::ApEstimate;
 use crowdwifi_geo::{Point, Rect};
@@ -34,8 +34,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// One stored AP: identity, consolidated state, and freshness stamps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MapAp {
-    /// Interned id of the founding grid key (shared with the
-    /// observation store's intern table when constructed with one).
+    /// Interned id of the founding grid key.
     pub id: u32,
     /// Credit-weighted consolidated position.
     pub position: Point,
@@ -118,7 +117,7 @@ pub struct MapConfig {
     /// once is not a real AP). Queries also filter at this floor.
     pub min_credit: f64,
     /// Grid resolution of founding keys handed to the intern table
-    /// (10 m matches `middleware::store`).
+    /// (default 10 m).
     pub key_resolution: f64,
 }
 
@@ -274,7 +273,7 @@ pub struct GeoMap {
     cfg: MapConfig,
     world: World,
     pub(crate) shards: Vec<Shard>,
-    interner: SharedInterner,
+    pub(crate) interner: Mutex<Interner>,
     generation: AtomicU64,
 }
 
@@ -286,17 +285,6 @@ impl GeoMap {
     /// Returns [`MapError::InvalidConfig`] for degenerate worlds, bad
     /// level pairs, or non-finite radii.
     pub fn new(cfg: MapConfig) -> Result<Self> {
-        GeoMap::with_interner(cfg, shared_interner())
-    }
-
-    /// Creates an empty map that interns founding keys into `interner`
-    /// — share the handle with an `ObsStore` so both sides agree on
-    /// ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::InvalidConfig`] as [`GeoMap::new`] does.
-    pub fn with_interner(cfg: MapConfig, interner: SharedInterner) -> Result<Self> {
         cfg.validate()?;
         let shard_count = 1usize << (2 * cfg.shard_level);
         let shards = (0..shard_count)
@@ -309,7 +297,7 @@ impl GeoMap {
             world: World::new(cfg.world),
             cfg,
             shards,
-            interner,
+            interner: Mutex::new(Interner::new()),
             generation: AtomicU64::new(0),
         })
     }
@@ -327,11 +315,6 @@ impl GeoMap {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// A handle to the intern table founding keys go through.
-    pub fn interner_handle(&self) -> SharedInterner {
-        Arc::clone(&self.interner)
     }
 
     /// The shard index of a bucket-cell code.

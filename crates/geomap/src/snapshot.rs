@@ -12,7 +12,8 @@
 //! recovered map reproduces the input bytes exactly, which is what the
 //! `snapshot → compact → recover` test pins down.
 
-use crate::intern::shared_interner;
+use crate::crc::crc32;
+use crate::intern::Interner;
 use crate::map::{EvictStats, GeoMap, MapAp, MapConfig};
 use crate::{MapError, Result};
 use crowdwifi_geo::{Point, Rect};
@@ -22,38 +23,6 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"GMAP";
 /// Snapshot format version.
 const VERSION: u32 = 1;
-
-/// IEEE CRC32 lookup table (polynomial `0xEDB88320`), built at compile
-/// time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// IEEE CRC32 of `data` — the same checksum the durability layer
-/// frames its WAL records with.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
-}
 
 /// Appends one `[len][crc][payload]` frame.
 fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
@@ -164,8 +133,7 @@ impl GeoMap {
         push_f64(&mut header, cfg.min_credit);
         push_f64(&mut header, cfg.key_resolution);
         {
-            let interner = self.interner_handle();
-            let interner = interner.lock().expect("interner poisoned");
+            let interner = self.interner.lock().expect("interner poisoned");
             let names = interner.names();
             header.extend_from_slice(&(names.len() as u32).to_le_bytes());
             for name in names {
@@ -239,22 +207,20 @@ impl GeoMap {
             min_credit: r.f64()?,
             key_resolution: r.f64()?,
         };
-        let interner = shared_interner();
-        {
-            let mut table = interner.lock().expect("interner poisoned");
-            let count = r.u32()?;
-            for _ in 0..count {
-                let len = r.u32()? as usize;
-                let name = std::str::from_utf8(r.take(len)?)
-                    .map_err(|_| MapError::Corrupt("non-utf8 interned name".into()))?;
-                table.intern(name);
-            }
+        let mut interner = Interner::new();
+        let count = r.u32()?;
+        for _ in 0..count {
+            let len = r.u32()? as usize;
+            let name = std::str::from_utf8(r.take(len)?)
+                .map_err(|_| MapError::Corrupt("non-utf8 interned name".into()))?;
+            interner.intern(name);
         }
         if !r.done() {
             return Err(MapError::Corrupt("trailing header bytes".into()));
         }
 
-        let map = GeoMap::with_interner(cfg, interner)?;
+        let map = GeoMap::new(cfg)?;
+        *map.interner.lock().expect("interner poisoned") = interner;
         for frame in shard_frames {
             let mut r = Reader::new(frame);
             let s = r.u32()? as usize;
@@ -327,13 +293,6 @@ mod tests {
         map.absorb_estimates(10, &ests);
         map.absorb_estimates(500, &ests[..20]);
         map
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The canonical IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

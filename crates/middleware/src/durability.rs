@@ -36,12 +36,13 @@
 //! whenever the fault semantics make them comparable.
 
 use crate::fault::{FaultPlan, FaultTally, ServerFault};
-use crate::messages::{codec_err, push_str, push_u64, wire_capacity, TokenReader, VehicleId};
+use crate::messages::VehicleId;
 use crate::protocol::{Action, Event, PlatformConfig, ServerCore, ShardedDatabase, VirtualInstant};
 use crate::segment::SegmentMap;
 use crate::transport::EventHost;
-use crate::wire::{self, WireMessage, WireReader};
+use crate::wire::{self, codec_err, wire_capacity, WireMessage, WireReader};
 use crate::{MiddlewareError, Result};
+use crowdwifi_geomap::crc32;
 use crowdwifi_obs::Registry;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -54,17 +55,6 @@ pub const DEFAULT_SYNC_EVERY: u64 = 8;
 // ---------------------------------------------------------------------
 // Framing (shared with the binary wire codec)
 // ---------------------------------------------------------------------
-
-pub use crate::wire::crc32;
-
-/// Frames `payload` as `[len: u32 LE][crc32(payload): u32 LE][payload]`.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
-}
 
 /// Splits `bytes` into intact frame payloads, applying the torn-tail
 /// rule: the first incomplete or CRC-bad frame and everything after it
@@ -268,51 +258,6 @@ pub struct WalHeader {
     pub config: PlatformConfig,
 }
 
-impl WalHeader {
-    /// Encodes the header (tag `H`, format version 1); the config and
-    /// segment map travel as nested wire strings.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::from("H 1");
-        push_str(&mut out, &self.config.to_wire());
-        push_str(&mut out, &self.segments.to_wire());
-        push_u64(&mut out, self.fleet.len() as u64);
-        for v in &self.fleet {
-            push_u64(&mut out, u64::from(v.0));
-        }
-        out
-    }
-
-    /// Decodes a header produced by [`WalHeader::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::Codec`] on unknown tags or versions,
-    /// truncated input, malformed tokens, or trailing garbage.
-    pub fn from_wire(s: &str) -> Result<Self> {
-        let mut r = TokenReader::new(s);
-        if r.tag()? != "H" {
-            return Err(codec_err("expected WalHeader tag H"));
-        }
-        let version = r.u64()?;
-        if version != 1 {
-            return Err(codec_err(format!("unsupported WAL version {version}")));
-        }
-        let config = PlatformConfig::from_wire(&r.string()?)?;
-        let segments = SegmentMap::from_wire(&r.string()?)?;
-        let n = r.usize()?;
-        let mut fleet = Vec::with_capacity(wire_capacity(n));
-        for _ in 0..n {
-            fleet.push(VehicleId(r.u32()?));
-        }
-        r.finish()?;
-        Ok(WalHeader {
-            segments,
-            fleet,
-            config,
-        })
-    }
-}
-
 impl WireMessage for WalHeader {
     fn encode_binary(&self, out: &mut Vec<u8>) {
         wire::put_header(out, wire::TAG_WAL_HEADER);
@@ -344,13 +289,12 @@ impl WireMessage for WalHeader {
     }
 }
 
-/// Appends events to a [`LogSink`] as CRC-framed records — in the
-/// binary wire encoding since codec version 2 — fsyncing every
-/// [`DEFAULT_SYNC_EVERY`] appends (count-based, so batching is
-/// deterministic across backends). Created with the round's header as
-/// the first frame; `rewrite` compacts the log in place. One scratch
-/// buffer is reused across appends, so the steady-state log path
-/// performs zero per-event allocations.
+/// Appends events to a [`LogSink`] as CRC-framed binary records,
+/// fsyncing every [`DEFAULT_SYNC_EVERY`] appends (count-based, so
+/// batching is deterministic across backends). Created with the round's
+/// header as the first frame; `rewrite` compacts the log in place. One
+/// scratch buffer is reused across appends, so the steady-state log
+/// path performs zero per-event allocations.
 pub struct WalWriter<'a> {
     sink: &'a mut dyn LogSink,
     sync_every: u64,
@@ -457,24 +401,14 @@ pub struct WalReplay {
     pub events: Vec<Event>,
     /// Bytes dropped from the tail (0 for a cleanly closed log).
     pub dropped_tail_bytes: usize,
-    /// The codec the log was written with, dispatched from the header
-    /// frame's first payload byte: [`wire::WIRE_VERSION`] for binary
-    /// logs, [`wire::TEXT_VERSION`] for logs written before the binary
-    /// switch.
-    pub codec: u8,
 }
 
 /// Parses a WAL byte image, tolerating a torn tail: the first
 /// incomplete or CRC-invalid frame and everything after it is dropped
 /// (that suffix was never durably synced). Frames that pass the CRC
 /// but fail to decode are *not* tail damage — they mean the log was
-/// written by something else entirely, and surface as errors.
-///
-/// The header frame carries the codec version: a first payload byte of
-/// [`wire::WIRE_VERSION`] selects the binary decoders, anything else
-/// (text headers start with ASCII `H`) routes the whole log through
-/// the retained text decoders — so WALs written before the binary
-/// switch still recover byte-identically.
+/// written by something else entirely (a payload whose version byte is
+/// not [`wire::WIRE_VERSION`] included), and surface as errors.
 ///
 /// # Errors
 ///
@@ -488,32 +422,15 @@ pub fn read_wal(bytes: &[u8]) -> Result<WalReplay> {
             "WAL unrecoverable: no intact header frame".to_string(),
         ));
     };
-    let binary = first.first() == Some(&wire::WIRE_VERSION);
-    fn text(p: &[u8]) -> Result<&str> {
-        std::str::from_utf8(p).map_err(|_| codec_err("non-UTF-8 WAL frame"))
-    }
-    let header = if binary {
-        WalHeader::decode_binary(first)?
-    } else {
-        WalHeader::from_wire(text(first)?)?
-    };
+    let header = WalHeader::decode_binary(first)?;
     let mut events = Vec::with_capacity(rest.len());
     for payload in rest {
-        events.push(if binary {
-            Event::decode_binary(payload)?
-        } else {
-            Event::from_wire(text(payload)?)?
-        });
+        events.push(Event::decode_binary(payload)?);
     }
     Ok(WalReplay {
         header,
         events,
         dropped_tail_bytes,
-        codec: if binary {
-            wire::WIRE_VERSION
-        } else {
-            wire::TEXT_VERSION
-        },
     })
 }
 
@@ -650,31 +567,13 @@ impl SnapshotStore {
 }
 
 fn decode_snapshot(payload: &[u8]) -> Option<LoadedSnapshot> {
-    // Codec dispatch mirrors read_wal: a leading version byte selects
-    // the binary decoder; text-era snapshots start with ASCII `P`.
-    if payload.first() == Some(&wire::WIRE_VERSION) {
-        let mut r = WireReader::new(payload);
-        if r.header().ok()? != wire::TAG_SNAPSHOT {
-            return None;
-        }
-        let seq = r.varint().ok()?;
-        let round = r.usize().ok()?;
-        let database = ShardedDatabase::decode_body(&mut r).ok()?;
-        r.finish().ok()?;
-        return Some(LoadedSnapshot {
-            seq,
-            round,
-            database,
-        });
-    }
-    let s = std::str::from_utf8(payload).ok()?;
-    let mut r = TokenReader::new(s);
-    if r.tag().ok()? != "P" {
+    let mut r = WireReader::new(payload);
+    if r.header().ok()? != wire::TAG_SNAPSHOT {
         return None;
     }
-    let seq = r.u64().ok()?;
+    let seq = r.varint().ok()?;
     let round = r.usize().ok()?;
-    let database = ShardedDatabase::from_wire(&r.string().ok()?).ok()?;
+    let database = ShardedDatabase::decode_body(&mut r).ok()?;
     r.finish().ok()?;
     Some(LoadedSnapshot {
         seq,
@@ -885,11 +784,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crc32_known_answer() {
-        // The canonical IEEE CRC32 check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
+    /// `payload` as one `[len][crc32][payload]` frame.
+    fn encode_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        wire::frame_into(&mut frame, |out| out.extend_from_slice(payload));
+        frame
     }
 
     #[test]
@@ -918,15 +817,18 @@ mod tests {
     #[test]
     fn wal_header_round_trips() {
         let h = header();
-        let decoded = WalHeader::from_wire(&h.to_wire()).unwrap();
+        let decoded = WalHeader::from_frame(&h.to_frame()).unwrap();
         assert_eq!(decoded.fleet, h.fleet);
         assert_eq!(decoded.config, h.config);
-        assert_eq!(decoded.segments.to_wire(), h.segments.to_wire());
-        assert!(
-            WalHeader::from_wire("H 2 s: s: 0").is_err(),
-            "future version"
-        );
-        assert!(WalHeader::from_wire("Z 1").is_err(), "wrong tag");
+        assert_eq!(decoded.segments, h.segments);
+
+        let mut future = Vec::new();
+        h.encode_binary(&mut future);
+        future[0] = wire::WIRE_VERSION + 1;
+        assert!(WalHeader::decode_binary(&future).is_err(), "future version");
+        let mut wrong_tag = Vec::new();
+        h.config.encode_binary(&mut wrong_tag);
+        assert!(WalHeader::decode_binary(&wrong_tag).is_err(), "wrong tag");
     }
 
     #[test]
@@ -1037,7 +939,7 @@ mod tests {
         let loaded = store.load().unwrap().unwrap();
         assert_eq!(loaded.seq, 0);
         assert_eq!(loaded.round, 0);
-        assert_eq!(loaded.database.to_wire(), db.to_wire());
+        assert_eq!(loaded.database.to_frame(), db.to_frame());
 
         // A torn second write must not destroy the first snapshot.
         let mut db2 = db.clone();
@@ -1054,12 +956,77 @@ mod tests {
         assert_eq!(store.torn_writes(), 1);
         let loaded = store.load().unwrap().unwrap();
         assert_eq!(loaded.seq, 0, "fell back to the previous good slot");
-        assert_eq!(loaded.database.to_wire(), db.to_wire());
+        assert_eq!(loaded.database.to_frame(), db.to_frame());
 
         // The next good write overwrites the torn slot and wins.
         store.write(2, &db2, false).unwrap();
         let loaded = store.load().unwrap().unwrap();
         assert_eq!(loaded.seq, 2);
-        assert_eq!(loaded.database.to_wire(), db2.to_wire());
+        assert_eq!(loaded.database.to_frame(), db2.to_frame());
+    }
+
+    /// A space-free text-era token: the pre-binary codec percent-escaped
+    /// nested strings, so a nested message is one token.
+    fn text_token(s: &str) -> String {
+        format!("s:{}", s.replace(' ', "%20"))
+    }
+
+    #[test]
+    fn read_wal_rejects_a_text_era_log_as_a_codec_error() {
+        // A complete, CRC-valid log as the text codec wrote it: header
+        // (tag `H`, config `C`, segment map `S`, fleet) plus one event.
+        let bits = |v: f64| format!("{:016x}", v.to_bits());
+        let config = format!(
+            "C 4 5 {} {} 42 1000000 100000 3 {}",
+            bits(25.0),
+            bits(0.3),
+            bits(0.5)
+        );
+        let segments = format!(
+            "S {} {} {} {} {}",
+            bits(0.0),
+            bits(-20.0),
+            bits(300.0),
+            bits(80.0),
+            bits(150.0)
+        );
+        let header = format!("H 1 {} {} 1 7", text_token(&config), text_token(&segments));
+        let mut log = encode_frame(header.as_bytes());
+        log.extend_from_slice(&encode_frame(b"EL 5"));
+        assert_eq!(split_frames(&log).1, 0, "every frame is CRC-valid");
+
+        match read_wal(&log) {
+            Err(MiddlewareError::Codec(why)) => {
+                assert!(why.contains("wire version"), "unexpected reason: {why}");
+            }
+            other => panic!("text-era WAL must be a codec error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_load_skips_a_text_era_record_for_the_binary_one() {
+        let mut db = ShardedDatabase::new();
+        db.absorb(
+            0,
+            &segments(),
+            &[crowdwifi_crowd::fusion::FusedAp {
+                position: Point::new(50.0, 30.0),
+                support: 1.5,
+                contributors: 2,
+            }],
+        );
+        let mut store = SnapshotStore::in_memory();
+        store.write(0, &db, false).unwrap();
+        // Slot 1: a CRC-valid text-era snapshot (tag `P`, an empty `D`
+        // database) with a newer sequence number than the binary one.
+        let text = format!("P 5 3 {}", text_token("D 0"));
+        store.slots[1]
+            .reset(&encode_frame(text.as_bytes()))
+            .unwrap();
+
+        let loaded = store.load().unwrap().expect("the binary slot survives");
+        assert_eq!(loaded.seq, 0);
+        assert_eq!(loaded.round, 0);
+        assert_eq!(loaded.database.to_frame(), db.to_frame());
     }
 }

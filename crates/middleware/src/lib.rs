@@ -48,7 +48,6 @@ pub mod platform;
 pub mod protocol;
 pub mod segment;
 pub mod server;
-pub mod store;
 pub mod transport;
 pub mod user;
 pub mod vehicle;

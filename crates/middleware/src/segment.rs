@@ -3,8 +3,7 @@
 //! The crowd-server partitions the service area into square segments;
 //! sensing uploads and mapping tasks are keyed by segment.
 
-use crate::messages::{codec_err, push_f64, TokenReader};
-use crate::wire::{self, WireMessage, WireReader};
+use crate::wire::{self, codec_err, WireMessage, WireReader};
 use crate::Result;
 use crowdwifi_geo::{Point, Rect};
 use serde::{Deserialize, Serialize};
@@ -101,45 +100,11 @@ impl SegmentMap {
             .filter(|&id| self.bounds(id).center().distance(p) <= radius + slack)
             .collect()
     }
-
-    /// Encodes the map in the wire format of [`crate::messages`]: area
-    /// corners and segment size as bit-exact floats. The grid shape is
-    /// derived from those on decode, so a round trip reproduces the
-    /// partition exactly.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::from("S");
-        push_f64(&mut out, self.area.min().x);
-        push_f64(&mut out, self.area.min().y);
-        push_f64(&mut out, self.area.max().x);
-        push_f64(&mut out, self.area.max().y);
-        push_f64(&mut out, self.segment_size);
-        out
-    }
-
-    /// Decodes a map produced by [`SegmentMap::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::MiddlewareError::Codec`] on malformed input,
-    /// including geometry that [`SegmentMap::new`] would reject.
-    pub fn from_wire(s: &str) -> Result<Self> {
-        let mut r = TokenReader::new(s);
-        match r.tag()? {
-            "S" => {}
-            t => return Err(codec_err(format!("unknown SegmentMap tag {t:?}"))),
-        }
-        let min = r.point()?;
-        let max = r.point()?;
-        let segment_size = r.f64()?;
-        r.finish()?;
-        let area = Rect::new(min, max).map_err(|e| codec_err(format!("bad segment area: {e}")))?;
-        if !(segment_size > 0.0 && segment_size.is_finite()) {
-            return Err(codec_err(format!("bad segment size {segment_size}")));
-        }
-        Ok(SegmentMap::new(area, segment_size))
-    }
 }
 
+/// Area corners and segment size travel as bit-exact floats; the grid
+/// shape is derived from those on decode, so a round trip reproduces the
+/// partition exactly.
 impl WireMessage for SegmentMap {
     fn encode_binary(&self, out: &mut Vec<u8>) {
         wire::put_header(out, wire::TAG_SEGMENT_MAP);

@@ -1,13 +1,11 @@
 //! The binary wire codec: length-prefixed, CRC32-validated frames over
 //! a compact little-endian payload encoding.
 //!
-//! This replaces the PR 4 text/hex-float codec on every hot byte path
-//! (transport links, WAL frames, snapshots) while keeping the text
-//! codec alive as a *decoder* for logs written before the switch. The
-//! design follows the embedded-sensing playbook: no serialization
-//! crate, no per-message allocation on the encode path, and every
-//! frame is independently checksummed so a flipped bit quarantines one
-//! sender instead of poisoning a round.
+//! This is the one encoding every byte path uses: transport links, WAL
+//! frames and snapshots. The design follows the embedded-sensing
+//! playbook: no serialization crate, no per-message allocation on the
+//! encode path, and every frame is independently checksummed so a
+//! flipped bit quarantines one sender instead of poisoning a round.
 //!
 //! # Frame layout
 //!
@@ -17,11 +15,11 @@
 //! ```
 //!
 //! The frame header is byte-identical to the durability layer's WAL
-//! framing, so one `split_frames` walks both. The payload's leading
-//! version byte is the codec dispatcher: [`WIRE_VERSION`] (2) selects
-//! this binary encoding; text-era payloads start with an ASCII tag
-//! letter (`H`, `E`, `U`, ... — all ≥ 0x41), which is how old WALs and
-//! snapshots are recognized and routed to the retained text decoders.
+//! framing, so one `split_frames` walks both. Every payload opens with
+//! the version byte [`WIRE_VERSION`] (2); [`WireReader::header`]
+//! rejects any other value as a [`crate::MiddlewareError::Codec`]
+//! error, so a WAL or snapshot written in another encoding fails
+//! cleanly instead of being misread.
 //!
 //! # Field encodings
 //!
@@ -32,98 +30,33 @@
 //!   pattern. Real-world coordinates (lattice nodes, credits, segment
 //!   sizes) have mostly-zero low mantissa bytes, so byte-swapping puts
 //!   the zeros in front and the varint collapses them: `60.0` costs 3
-//!   bytes instead of 8 (or 17 in the text codec). Arbitrary bit
-//!   patterns — NaN payloads included — still round-trip exactly, at a
-//!   worst case of 10 bytes;
+//!   bytes instead of 8. Arbitrary bit patterns — NaN payloads
+//!   included — still round-trip exactly, at a worst case of 10 bytes;
 //! * strings as a varint byte length followed by raw UTF-8.
 //!
 //! Encoders append into a caller-supplied `Vec<u8>` ([`WireMessage::
 //! encode_binary`] / [`frame_into`]), so a steady-state sender (the
-//! WAL writer, the bench loops) reuses one buffer and performs zero
+//! WAL writer, the transports) reuses one buffer and performs zero
 //! per-message allocations. Decoders are zero-copy: [`WireReader`]
 //! walks the borrowed payload without intermediate buffers.
 
-use crate::messages::codec_err;
-use crate::Result;
+use crate::{MiddlewareError, Result};
 use crowdwifi_geo::Point;
+use crowdwifi_geomap::{crc32, crc32_update};
 
-/// Version byte opening every binary payload. Version 1 is the text
-/// codec (implied; text payloads carry no version byte and are
-/// recognized by their ASCII tag), version 2 is this binary encoding.
+/// Version byte opening every binary payload.
 pub const WIRE_VERSION: u8 = 2;
 
-/// The codec version number recorded for text-era payloads when a
-/// reader reports which decoder it used.
-pub const TEXT_VERSION: u8 = 1;
-
-// ---------------------------------------------------------------------
-// CRC32
-// ---------------------------------------------------------------------
-
-/// Slice-by-8 lookup tables: `TABLES[0]` is the classic byte-at-a-time
-/// table, `TABLES[j]` advances a byte j positions further, so eight
-/// bytes fold in one step. Checksumming every frame on the transport
-/// hot path is what pays for the extra 7 KiB.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            t[j][i] = t[0][(t[j - 1][i] & 0xff) as usize] ^ (t[j - 1][i] >> 8);
-            i += 1;
-        }
-        j += 1;
-    }
-    t
+/// Builds a [`MiddlewareError::Codec`].
+pub(crate) fn codec_err(why: impl Into<String>) -> MiddlewareError {
+    MiddlewareError::Codec(why.into())
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// IEEE CRC32 (the zlib/PNG polynomial), table-driven. Self-contained
-/// because the offline build bakes in no checksum crate.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_update(0, bytes)
-}
-
-/// Streaming CRC32: folds `bytes` into a running checksum, so a digest
-/// over a whole frame sequence needs no concatenated copy. Eight bytes
-/// per table step (slice-by-8), byte-at-a-time on the tail.
-pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = crc ^ 0xffff_ffff;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes(chunk[..4].try_into().expect("4 bytes")) ^ c;
-        let hi = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
+/// Caps a length prefix read from the wire so a malformed message
+/// cannot force a huge allocation before the (inevitable) truncation
+/// error surfaces.
+pub(crate) fn wire_capacity(n: usize) -> usize {
+    n.min(1024)
 }
 
 // ---------------------------------------------------------------------
@@ -515,14 +448,6 @@ impl WireDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_answer_and_streaming_equivalence() {
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-        let split = crc32_update(crc32_update(0, b"1234"), b"56789");
-        assert_eq!(split, crc32(b"123456789"));
-    }
 
     #[test]
     fn varints_round_trip_boundaries() {

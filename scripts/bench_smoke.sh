@@ -13,32 +13,29 @@
 #
 # An optional first argument filters which benches run (and which gates
 # apply): "core" runs the pipeline/obs/platform benches, "fleet" runs
-# only the fleet-scale round bench (CI's fleet-smoke job), "wire" runs
-# only the binary-codec + columnar-store bench, "all" (the default)
-# runs everything.
+# only the fleet-scale round bench (CI's fleet-smoke job), "map" runs
+# only the geo-sharded AP map bench (CI's map-smoke job), "all" (the
+# default) runs everything.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 only="${1:-all}"
 case "$only" in
-    all | core | fleet | wire | map) ;;
+    all | core | fleet | map) ;;
     *)
-        echo "usage: $0 [all|core|fleet|wire|map]" >&2
+        echo "usage: $0 [all|core|fleet|map]" >&2
         exit 2
         ;;
 esac
 run_core=1
 run_fleet=1
-run_wire=1
 run_map=1
 if [ "$only" != all ]; then
     run_core=0
     run_fleet=0
-    run_wire=0
     run_map=0
     [ "$only" = core ] && run_core=1
     [ "$only" = fleet ] && run_fleet=1
-    [ "$only" = wire ] && run_wire=1
     [ "$only" = map ] && run_map=1
 fi
 
@@ -54,9 +51,6 @@ if [ "$run_core" -eq 1 ]; then
 fi
 if [ "$run_fleet" -eq 1 ]; then
     ./target/release/fleet_rounds
-fi
-if [ "$run_wire" -eq 1 ]; then
-    ./target/release/wire_store
 fi
 if [ "$run_map" -eq 1 ]; then
     ./target/release/ap_map
@@ -86,7 +80,6 @@ P="$BENCH_OUT_DIR/BENCH_pipeline.json"
 O="$BENCH_OUT_DIR/BENCH_obs.json"
 R="$BENCH_OUT_DIR/BENCH_platform.json"
 F="$BENCH_OUT_DIR/BENCH_fleet.json"
-W="$BENCH_OUT_DIR/BENCH_wire.json"
 M="$BENCH_OUT_DIR/BENCH_map.json"
 
 echo "bench smoke thresholds:"
@@ -160,16 +153,6 @@ if ! grep -q '"digest_match": true' "$F"; then
 else
     echo "  ok: fleet round matches sim byte-for-byte"
 fi
-fi
-
-if [ "$run_wire" -eq 1 ]; then
-# The binary codec's two headline wins over the retired text codec,
-# measured on a deterministic corpus so the byte ratio is exact (no
-# machine noise) and the throughput ratio only has scheduler noise on
-# both legs at once. The bench itself asserts the same bounds, so these
-# gates are the CI-visible restatement, not the only line of defense.
-gate "wire payload bytes ratio" "$(num "$W" payload_bytes_ratio)" "<=" 0.35
-gate "wire encode+decode speedup" "$(num "$W" encode_decode_speedup)" ">=" 5
 fi
 
 if [ "$run_map" -eq 1 ]; then

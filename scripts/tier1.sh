@@ -85,27 +85,26 @@ cargo test -q -p crowdwifi-core --lib recovery::tests::prop1_step_uses_the_exact
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-core --lib \
     recovery::tests::prop1_step_uses_the_exact_operator_norm
 # The binary wire codec's contracts: proptest round-trips over every
-# message variant (NaN bit-exact, text and binary codecs agreeing), the
-# adversarial corrupted-frame corpus landing in quarantine, and
-# text-era WAL logs recovering byte-identically through codec-version
-# dispatch. Run by name so a workspace filter can never silently skip
-# them, and under both kernel dispatch modes: frame bytes are part of
-# the cross-backend digest, so they may not depend on the kernel path.
+# message variant (NaN bit-exact) and the adversarial corrupted-frame
+# corpus landing in quarantine. Run by name so a workspace filter can
+# never silently skip them, and under both kernel dispatch modes: frame
+# bytes are part of the cross-backend digest, so they may not depend on
+# the kernel path.
 cargo test -q -p crowdwifi-middleware --test wire_roundtrip
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-middleware --test wire_roundtrip
-cargo test -q -p crowdwifi-middleware --test wal_compat
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-middleware --test wal_compat
-# The codec primitives and the columnar observation store unit suites,
-# by module name for the same reason.
+# The codec primitives' unit suite, and the durability layer's
+# rejection of WAL and snapshot payloads in any other encoding (a
+# text-era log is a codec error, a text-era snapshot slot is skipped),
+# by name for the same reason.
 cargo test -q -p crowdwifi-middleware --lib wire::
-cargo test -q -p crowdwifi-middleware --lib store::
+cargo test -q -p crowdwifi-middleware --lib text_era
 # The geo-sharded AP map's contracts: geohash encode/decode/neighbor
 # round-trips (property suite), TTL-eviction determinism under a seeded
 # clock, snapshot→compact→recover byte-identity, and the full-stack
 # suite (campaign rounds draining into the map through the round sink,
-# map-fed BRR handoff identical to the static-list baseline, store/map
-# intern-table agreement). Run by name so a workspace filter can never
-# silently skip them, and under both kernel dispatch modes: the map
+# map-fed BRR handoff identical to the static-list baseline). Run by
+# name so a workspace filter can never silently skip them, and under
+# both kernel dispatch modes: the map
 # consumes fused campaign output, which is part of the cross-backend
 # digest, so its contracts may not depend on the kernel path.
 cargo test -q -p crowdwifi-geomap --test geohash_properties
